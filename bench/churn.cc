@@ -1,16 +1,14 @@
 /**
  * @file
  * Churn bench: sustained open-loop workload streams through the full
- * Quasar manager at 1k / 5k / 10k / 50k / 100k servers, comparing the
- * scheduler's two production decision paths (dirty-set maintained
- * order, per-call cached index) under identical seeded churn. The
- * legacy full_rescan path is tests-only (QUASAR_VERIFY shadow oracle
- * + equivalence tests) and no longer carries a bench leg. At 50k and
- * 100k the cached mode's O(N)-per-call walk is too slow to be a
- * useful referee, so those scales instead run the dirty mode twice
- * ("dirty-rerun") and require the two replays to produce identical
- * placement hashes — a determinism check at the scale the maintained
- * order was built for.
+ * Quasar manager at 1k / 5k / 10k / 50k / 100k servers. Every scale
+ * runs the production dirty-set decision path; up to 10k the legacy
+ * full_rescan path replays the identical seeded stream as the
+ * equivalence referee. At 50k and 100k full_rescan's O(N)-per-call
+ * walk is too slow to be a useful referee, so those scales instead
+ * run the dirty mode twice ("dirty-rerun") and require the two
+ * replays to produce identical placement hashes — a determinism
+ * check at the scale the maintained order was built for.
  *
  * For each (scale, mode) the bench reports sustained decisions/sec,
  * admission-queue depth, the QoS-violation rate of the latency
@@ -23,24 +21,14 @@
  * state (server x workload x cores) into a running FNV-1a hash; any
  * placement difference between scheduler modes at any tick produces
  * different final hashes. The bench fails if the modes diverge, and
- * (with --baseline) if the dirty-mode decisions/sec at the gate scale
- * regressed more than --max-regression against the committed
- * BENCH_churn.json.
- *
- * Sharded legs (DESIGN.md §14): the same streams through the
- * ShardedScheduler's deterministic-merge commit. K=1 proves hash
- * identity with the classic path; K=4 carries the 10k/50k legs; a
- * K ∈ {1,2,4,8} sweep at 100k records scaling efficiency (each K's
- * decisions/s relative to the sharded K=1 leg). Every sharded leg
- * must reproduce the classic dirty placement hash bit-exactly — in
- * the run (vs the dirty leg at the same scale) and, with --baseline,
- * against the committed BENCH_churn.json rows.
+ * (with --baseline) if the dirty-mode decisions/sec at a committed
+ * scale regressed more than --max-regression, or its placement hash
+ * moved, against the committed BENCH_churn.json.
  *
  * `--smoke` is the CI variant: the 1000-server slice only, both
- * modes, plus a dirty-only 10k leg and sharded K=1 (1k) / K=4 (10k)
- * legs, same horizon as the full run so its decisions/sec compare
- * directly against the committed baseline. The full run adds 5000
- * and 10000 servers.
+ * modes, plus a dirty-only 10k leg, same horizon as the full run so
+ * its decisions/sec compare directly against the committed baseline.
+ * The full run adds 5000 to 100000 servers.
  */
 
 #include <cmath>
@@ -78,20 +66,11 @@ clusterOfSize(int servers)
 }
 
 const char *
-modeName(bool dirty, bool full, bool rerun = false, int shards = 0)
+modeName(bool full, bool rerun)
 {
-    // "sharded-k%d" never substring-matches the baseline parser's
-    // `"mode": "dirty"` probe (the probe includes the closing quote),
-    // so sharded rows can't alias the classic rows.
-    static char shard_buf[32];
-    if (shards > 0) {
-        std::snprintf(shard_buf, sizeof(shard_buf), "sharded-k%d",
-                      shards);
-        return shard_buf;
-    }
     if (rerun)
         return "dirty-rerun";
-    return full ? "full_rescan" : dirty ? "dirty" : "cached";
+    return full ? "full_rescan" : "dirty";
 }
 
 struct ModeMetrics
@@ -102,10 +81,6 @@ struct ModeMetrics
     size_t max_admission_depth = 0;
     double qos_violation_rate = 0.0;
     uint64_t placement_hash = 0;
-    /** Sharded legs only: the ShardedScheduler's running FNV-1a over
-     *  committed (workload, socket, shard) words. */
-    uint64_t decision_hash = 0;
-    uint64_t merge_commits = 0;
     size_t completed = 0;
     size_t killed = 0;
     /** Wall-clock means, milliseconds. */
@@ -167,23 +142,13 @@ streamFor(int servers, double horizon_s)
 }
 
 ModeMetrics
-runMode(int servers, double horizon_s, bool dirty, bool full,
-        int shards = 0)
+runMode(int servers, double horizon_s, bool full)
 {
     sim::Cluster cluster = clusterOfSize(servers);
     workload::WorkloadRegistry registry;
 
     core::QuasarConfig qcfg;
-    qcfg.scheduler.dirty_set = dirty;
     qcfg.scheduler.full_rescan = full;
-    if (shards > 0) {
-        // Sharded decision path, deterministic merge commit: the
-        // placement hash must reproduce the classic dirty legs
-        // bit-exactly at ANY K (DESIGN.md §14 replay contract).
-        qcfg.shard.shards = uint32_t(shards);
-        qcfg.shard.dirty_set = dirty;
-        qcfg.shard.commit = shard::CommitMode::DeterministicMerge;
-    }
     qcfg.proactive_interval_s = horizon_s / 3.0;
     core::QuasarManager mgr(cluster, registry, qcfg);
     workload::WorkloadFactory seeder{stats::Rng(4242)};
@@ -219,10 +184,6 @@ runMode(int servers, double horizon_s, bool dirty, bool full,
     m.mean_admission_depth =
         depth_n ? depth_sum / double(depth_n) : 0.0;
     m.placement_hash = hash;
-    if (const shard::ShardedScheduler *sh = mgr.sharded()) {
-        m.decision_hash = sh->decisionHash();
-        m.merge_commits = sh->stats().merge_commits;
-    }
 
     // QoS violations: mean shortfall of the in-QoS fraction over all
     // latency services the stream created.
@@ -304,10 +265,8 @@ runChurnBench(bool smoke, const std::string &out_path,
     struct Point
     {
         int servers;
-        bool dirty;
         bool full;
         bool rerun; // dirty run #2: determinism referee at big scales
-        int shards = 0; // >0: sharded merge path with K shards
     };
     std::vector<Point> points;
     // Smoke runs the same horizon as the full bench (so its numbers
@@ -315,48 +274,28 @@ runChurnBench(bool smoke, const std::string &out_path,
     // the 1000-server slice plus a dirty-only 10k leg — seconds
     // instead of minutes.
     const double horizon = 900.0;
-    // Both production modes up to 10k; cached is O(N) per call, so
-    // at 50k/100k the referee is a second seeded dirty replay that
-    // must reproduce the placement hash exactly. full_rescan is
-    // tests-only now (the QUASAR_VERIFY shadow oracle and the
-    // equivalence tests exercise it), so benches no longer carry a
-    // leg for it.
-    points.push_back({1000, true, false, false});
-    points.push_back({1000, false, false, false});
+    // full_rescan referees the dirty path up to 10k; it is O(N) per
+    // call, so at 50k/100k the referee is a second seeded dirty
+    // replay that must reproduce the placement hash exactly.
+    points.push_back({1000, false, false});
+    points.push_back({1000, true, false});
     if (smoke) {
-        points.push_back({10000, true, false, false});
-        // Sharded legs: K=1 identity at 1k, K=4 at 10k — both gated
-        // below on reproducing the committed dirty placement hashes
-        // bit-exactly and staying inside the regression bound.
-        points.push_back({1000, true, false, false, 1});
-        points.push_back({10000, true, false, false, 4});
+        points.push_back({10000, false, false});
     } else {
-        points.push_back({5000, true, false, false});
-        points.push_back({5000, false, false, false});
-        points.push_back({10000, true, false, false});
-        points.push_back({10000, false, false, false});
-        points.push_back({50000, true, false, false});
-        points.push_back({50000, true, false, true});
-        points.push_back({100000, true, false, false});
-        points.push_back({100000, true, false, true});
-        // Sharded merge legs. K=1 proves hash identity with the
-        // classic path at 1k; K=4 carries the 10k/50k legs; the 100k
-        // K sweep is the scaling-efficiency table (each leg's rate
-        // relative to the sharded K=1 leg at the same scale).
-        points.push_back({1000, true, false, false, 1});
-        points.push_back({10000, true, false, false, 4});
-        points.push_back({50000, true, false, false, 4});
-        points.push_back({100000, true, false, false, 1});
-        points.push_back({100000, true, false, false, 2});
-        points.push_back({100000, true, false, false, 4});
-        points.push_back({100000, true, false, false, 8});
+        points.push_back({5000, false, false});
+        points.push_back({5000, true, false});
+        points.push_back({10000, false, false});
+        points.push_back({10000, true, false});
+        points.push_back({50000, false, false});
+        points.push_back({50000, false, true});
+        points.push_back({100000, false, false});
+        points.push_back({100000, false, true});
     }
 
-    bench::banner(smoke ? "churn stream (smoke): dirty vs cached at "
-                          "1k, dirty at 10k, sharded K=1/K=4 legs"
-                        : "churn stream: dirty vs cached to 10k, "
-                          "dirty re-replay to 100k servers, sharded "
-                          "merge legs + 100k K sweep");
+    bench::banner(smoke ? "churn stream (smoke): dirty vs full_rescan "
+                          "at 1k, dirty at 10k"
+                        : "churn stream: dirty vs full_rescan to 10k, "
+                          "dirty re-replay to 100k servers");
 
     std::FILE *out = std::fopen(out_path.c_str(), "w");
     if (!out) {
@@ -368,27 +307,18 @@ runChurnBench(bool smoke, const std::string &out_path,
                  "  \"horizon_s\": %.0f,\n  \"scales\": [\n",
                  smoke ? "true" : "false", horizon);
 
-    // placement hash per scale from the dirty run: the cached legs,
-    // the dirty-rerun legs, and every sharded leg must reproduce it
-    // exactly.
+    // placement hash per scale from the dirty run: the full_rescan
+    // and dirty-rerun legs must reproduce it exactly.
     std::vector<std::pair<int, uint64_t>> dirty_hashes;
     // (servers, decisions/s, hash) of every primary dirty leg, for
     // the baseline gates below.
     std::vector<std::tuple<int, double, uint64_t>> dirty_results;
-    // (servers, K, decisions/s, hash) of every sharded leg, gated
-    // against the committed dirty rows the same way.
-    std::vector<std::tuple<int, int, double, uint64_t>>
-        sharded_results;
-    // decisions/s of the sharded K=1 leg per scale: denominator of
-    // the scaling-efficiency column.
-    std::vector<std::pair<int, double>> shard_k1_rates;
     bool all_identical = true;
     for (size_t i = 0; i < points.size(); ++i) {
         const Point &p = points[i];
-        ModeMetrics m =
-            runMode(p.servers, horizon, p.dirty, p.full, p.shards);
+        ModeMetrics m = runMode(p.servers, horizon, p.full);
         bool identical = true;
-        if (p.dirty && !p.rerun && p.shards == 0) {
+        if (!p.full && !p.rerun) {
             dirty_hashes.emplace_back(p.servers, m.placement_hash);
             dirty_results.emplace_back(p.servers, m.decisions_per_s,
                                        m.placement_hash);
@@ -398,34 +328,15 @@ runChurnBench(bool smoke, const std::string &out_path,
                     identical = m.placement_hash == h;
             all_identical = all_identical && identical;
         }
-        double efficiency = 0.0;
-        if (p.shards > 0) {
-            sharded_results.emplace_back(p.servers, p.shards,
-                                         m.decisions_per_s,
-                                         m.placement_hash);
-            if (p.shards == 1)
-                shard_k1_rates.emplace_back(p.servers,
-                                            m.decisions_per_s);
-            for (const auto &[srv, r1] : shard_k1_rates)
-                if (srv == p.servers && r1 > 0.0)
-                    efficiency = m.decisions_per_s / r1;
-        }
         std::printf(
             "  %5d servers %-11s: %8.0f decisions/s  (%llu calls)  "
             "depth %.1f/%zu  qos-viol %.3f  done %zu, killed %zu  "
             "%s\n",
-            p.servers, modeName(p.dirty, p.full, p.rerun, p.shards),
-            m.decisions_per_s, (unsigned long long)m.schedule_calls,
+            p.servers, modeName(p.full, p.rerun), m.decisions_per_s,
+            (unsigned long long)m.schedule_calls,
             m.mean_admission_depth, m.max_admission_depth,
             m.qos_violation_rate, m.completed, m.killed,
             identical ? "identical" : "DIVERGED");
-        if (p.shards > 0)
-            std::printf("        sharded: decision hash %016llx  "
-                        "merge commits %llu  efficiency vs K=1 "
-                        "%.3f\n",
-                        (unsigned long long)m.decision_hash,
-                        (unsigned long long)m.merge_commits,
-                        efficiency);
         std::printf(
             "        breakdown ms: classify %.3f (profile %.3f)  "
             "schedule %.4f (rank %.4f place %.4f)  adapt %.4f  "
@@ -445,8 +356,7 @@ runChurnBench(bool smoke, const std::string &out_path,
             "\"schedule_ms\": %.5f, \"adapt_ms\": %.5f, "
             "\"rank_ms\": %.5f, \"place_ms\": %.5f, "
             "\"tick_ms\": %.4f",
-            p.servers, modeName(p.dirty, p.full, p.rerun, p.shards),
-            m.decisions_per_s,
+            p.servers, modeName(p.full, p.rerun), m.decisions_per_s,
             (unsigned long long)m.schedule_calls,
             m.mean_admission_depth, m.max_admission_depth,
             m.qos_violation_rate, m.completed, m.killed,
@@ -454,16 +364,6 @@ runChurnBench(bool smoke, const std::string &out_path,
             identical ? "true" : "false", m.classify_ms, m.profile_ms,
             m.schedule_ms, m.adapt_ms, m.rank_ms, m.place_ms,
             m.tick_ms);
-        if (p.shards > 0) {
-            std::fprintf(out,
-                         ", \"shards\": %d, "
-                         "\"decision_hash\": \"%016llx\"",
-                         p.shards,
-                         (unsigned long long)m.decision_hash);
-            if (efficiency > 0.0)
-                std::fprintf(out, ", \"scaling_efficiency\": %.3f",
-                             efficiency);
-        }
         std::fprintf(out, "}%s\n",
                      i + 1 < points.size() ? "," : "");
     }
@@ -512,42 +412,6 @@ runChurnBench(bool smoke, const std::string &out_path,
                         "reproduced\n",
                         servers, rate, base.rate,
                         max_regression * 100.0);
-        }
-        // Sharded legs gate against the SAME committed dirty rows:
-        // the merge commit's replay contract makes the placement
-        // hash bit-identical to the classic path at any K, so a
-        // committed hash mismatch means the contract broke.
-        for (const auto &[servers, shards, rate, hash] :
-             sharded_results) {
-            BaselineRow base = baselineDirty(baseline_path, servers);
-            if (!base.found || std::isnan(base.rate) ||
-                base.rate <= 0.0)
-                continue;
-            any = true;
-            if (base.hash != 0 && hash != base.hash) {
-                std::fprintf(
-                    stderr,
-                    "FAIL: sharded K=%d placement hash at %d "
-                    "servers (%016llx) diverged from the committed "
-                    "dirty baseline (%016llx)\n",
-                    shards, servers, (unsigned long long)hash,
-                    (unsigned long long)base.hash);
-                return 1;
-            }
-            if (!(rate > base.rate * (1.0 - max_regression))) {
-                std::fprintf(
-                    stderr,
-                    "FAIL: sharded K=%d decisions/s at %d servers "
-                    "(%.0f) regressed >%.0f%% vs the dirty baseline "
-                    "%.0f\n",
-                    shards, servers, rate, max_regression * 100.0,
-                    base.rate);
-                return 1;
-            }
-            std::printf("gate ok sharded K=%d at %d servers: %.0f "
-                        "decisions/s vs dirty baseline %.0f, hash "
-                        "reproduced\n",
-                        shards, servers, rate, base.rate);
         }
         if (!any)
             std::printf("no usable baseline at %s; skipping the "

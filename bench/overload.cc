@@ -19,8 +19,8 @@
  * per-tick placement fold and the controller's own decision hash.
  *
  * Gates (exit 1):
- *  - replay: the controller-on leg re-run under the cached scheduler
- *    index and re-replayed under dirty must reproduce both hashes
+ *  - replay: the controller-on leg re-run under the full_rescan
+ *    scheduler and re-replayed under dirty must reproduce both hashes
  *    bit-identically;
  *  - accounting: completed + departed + shed + active == arrivals in
  *    every leg (no arrival leaks out of the outcome split);
@@ -192,13 +192,13 @@ hashClusterState(const sim::Cluster &cluster, uint64_t &h)
 
 LegMetrics
 runLeg(int servers, double horizon_s, const churn::ChurnConfig &ccfg,
-       bool controller, bool dirty)
+       bool controller, bool full_rescan)
 {
     sim::Cluster cluster = clusterOfSize(servers);
     workload::WorkloadRegistry registry;
 
     core::QuasarConfig qcfg;
-    qcfg.scheduler.dirty_set = dirty;
+    qcfg.scheduler.full_rescan = full_rescan;
     qcfg.proactive_interval_s = horizon_s / 3.0;
     if (controller)
         qcfg.overload = controllerOn();
@@ -402,18 +402,18 @@ runOverloadBench(bool smoke, const std::string &out_path,
         const char *name;
         int servers;
         bool controller;
-        bool dirty;
+        bool full_rescan;
         LegMetrics m;
     };
     std::vector<Leg> legs = {
-        {"off-dirty", gate_servers, false, true, {}},
-        {"on-dirty", gate_servers, true, true, {}},
-        {"on-cached", gate_servers, true, false, {}},
-        {"on-dirty-replay", gate_servers, true, true, {}},
+        {"off-dirty", gate_servers, false, false, {}},
+        {"on-dirty", gate_servers, true, false, {}},
+        {"on-full_rescan", gate_servers, true, true, {}},
+        {"on-dirty-replay", gate_servers, true, false, {}},
     };
     if (!smoke) {
-        legs.push_back({"off-500", 500, false, true, {}});
-        legs.push_back({"on-500", 500, true, true, {}});
+        legs.push_back({"off-500", 500, false, false, {}});
+        legs.push_back({"on-500", 500, true, false, {}});
     }
 
     for (Leg &leg : legs) {
@@ -421,7 +421,7 @@ runOverloadBench(bool smoke, const std::string &out_path,
         std::fflush(stdout);
         leg.m = runLeg(leg.servers, horizon,
                        streamFor(leg.servers, horizon),
-                       leg.controller, leg.dirty);
+                       leg.controller, leg.full_rescan);
     }
 
     // Full-run synth legs: fit a churn stream to the bundled google
@@ -460,10 +460,10 @@ runOverloadBench(bool smoke, const std::string &out_path,
                         "%.3f/s)...\n",
                         synth.arrival_rate_per_s);
             std::fflush(stdout);
-            legs.push_back({"synth-off", 500, false, true,
-                            runLeg(500, horizon, synth, false, true)});
-            legs.push_back({"synth-on", 500, true, true,
-                            runLeg(500, horizon, synth, true, true)});
+            legs.push_back({"synth-off", 500, false, false,
+                            runLeg(500, horizon, synth, false, false)});
+            legs.push_back({"synth-on", 500, true, false,
+                            runLeg(500, horizon, synth, true, false)});
         }
     }
 
@@ -493,7 +493,8 @@ runOverloadBench(bool smoke, const std::string &out_path,
         if (!identical)
             std::printf("        ^^ DIVERGED from on-dirty\n");
         writeLeg(out, leg.name, leg.servers, leg.controller,
-                 leg.dirty ? "dirty" : "cached", leg.m, identical,
+                 leg.full_rescan ? "full_rescan" : "dirty", leg.m,
+                 identical,
                  i + 1 == legs.size());
     }
     std::fprintf(out, "  ]\n}\n");

@@ -26,8 +26,8 @@
  * the share's home socket folded in.
  *
  * Gates (exit 1):
- *  - replay: the thrash aware leg re-run under the cached scheduler
- *    index and re-replayed under dirty must reproduce the placement
+ *  - replay: the thrash aware leg re-run under the full_rescan
+ *    scheduler and re-replayed under dirty must reproduce the placement
  *    hash bit-identically;
  *  - QoS: socket-aware must violate strictly less than topology-blind
  *    on the thrash scenario;
@@ -115,7 +115,7 @@ hashClusterState(const sim::Cluster &cluster, uint64_t &h)
 }
 
 LegMetrics
-runThrashLeg(int servers, bool aware, bool dirty)
+runThrashLeg(int servers, bool aware, bool full_rescan)
 {
     sim::Cluster cluster = numaCluster(servers);
     // The co-runner: socket 0 of every machine is being thrashed for
@@ -129,7 +129,7 @@ runThrashLeg(int servers, bool aware, bool dirty)
 
     workload::WorkloadRegistry registry;
     core::QuasarConfig qcfg;
-    qcfg.scheduler.dirty_set = dirty;
+    qcfg.scheduler.full_rescan = full_rescan;
     qcfg.scheduler.socket_aware = aware;
     core::QuasarManager mgr(cluster, registry, qcfg);
     workload::WorkloadFactory seeder{stats::Rng(4242)};
@@ -227,12 +227,12 @@ runThrashLeg(int servers, bool aware, bool dirty)
 }
 
 LegMetrics
-runBandwidthLeg(int servers, bool aware, bool dirty)
+runBandwidthLeg(int servers, bool aware, bool full_rescan)
 {
     sim::Cluster cluster = numaCluster(servers);
     workload::WorkloadRegistry registry;
     core::QuasarConfig qcfg;
-    qcfg.scheduler.dirty_set = dirty;
+    qcfg.scheduler.full_rescan = full_rescan;
     qcfg.scheduler.socket_aware = aware;
     core::QuasarManager mgr(cluster, registry, qcfg);
     workload::WorkloadFactory seeder{stats::Rng(4242)};
@@ -391,31 +391,32 @@ runTopologyBench(bool smoke, const std::string &out_path,
         const char *name;
         const char *scenario;
         bool aware;
-        bool dirty;
+        bool full_rescan;
         LegMetrics m;
     };
     std::vector<Leg> legs = {
-        {"thrash-aware", "thrash", true, true, {}},
-        {"thrash-blind", "thrash", false, true, {}},
-        {"thrash-aware-cached", "thrash", true, false, {}},
-        {"thrash-aware-replay", "thrash", true, true, {}},
+        {"thrash-aware", "thrash", true, false, {}},
+        {"thrash-blind", "thrash", false, false, {}},
+        {"thrash-aware-full_rescan", "thrash", true, true, {}},
+        {"thrash-aware-replay", "thrash", true, false, {}},
     };
     if (!smoke) {
-        legs.push_back({"bw-aware", "bandwidth", true, true, {}});
-        legs.push_back({"bw-blind", "bandwidth", false, true, {}});
+        legs.push_back({"bw-aware", "bandwidth", true, false, {}});
+        legs.push_back({"bw-blind", "bandwidth", false, false, {}});
     }
 
     for (Leg &leg : legs) {
         std::printf("  running %s...\n", leg.name);
         std::fflush(stdout);
         leg.m = std::strcmp(leg.scenario, "thrash") == 0
-                    ? runThrashLeg(servers, leg.aware, leg.dirty)
-                    : runBandwidthLeg(servers, leg.aware, leg.dirty);
+                    ? runThrashLeg(servers, leg.aware, leg.full_rescan)
+                    : runBandwidthLeg(servers, leg.aware,
+                                      leg.full_rescan);
     }
 
     // Replay gate: the aware thrash decision stream must reproduce
     // bit-identically across the scheduler index mode (dirty vs
-    // cached) and across a full re-run.
+    // full_rescan) and across a full re-run.
     const LegMetrics &aware = legs[0].m;
     bool replay_ok = true;
     std::FILE *out = std::fopen(out_path.c_str(), "w");
@@ -448,7 +449,7 @@ runTopologyBench(bool smoke, const std::string &out_path,
             "\"identical\": %s}%s\n",
             leg.name, leg.scenario, servers,
             leg.aware ? "true" : "false",
-            leg.dirty ? "dirty" : "cached", leg.m.services,
+            leg.full_rescan ? "full_rescan" : "dirty", leg.m.services,
             leg.m.qos_violation_rate, leg.m.lc_socket0_core_frac,
             leg.m.be_completed,
             (unsigned long long)leg.m.placement_hash,

@@ -3,15 +3,14 @@
  * Trace-replay bench: the two checked-in cluster-trace fixtures
  * (Google task-events style, Azure vmtable style) ingested, mapped,
  * and replayed through the full Quasar manager, comparing the
- * scheduler's two production decision paths under the identical
- * mapped stream (full_rescan is tests-only: the QUASAR_VERIFY shadow
- * oracle and the equivalence tests cover it).
+ * scheduler's production dirty-set decision path against the legacy
+ * full_rescan referee under the identical mapped stream.
  *
  * Gates (exit non-zero on violation):
  *   1. Parser diagnostics: each fixture carries a known number of
  *      deliberately malformed rows; the parsers must reject exactly
  *      those, with per-line diagnostics, and nothing else.
- *   2. Mode divergence: dirty / cached must produce bit-identical
+ *   2. Mode divergence: dirty / full_rescan must produce bit-identical
  *      placements (FNV-1a fold of the full allocation state every
  *      tick).
  *   3. Re-replay stability: replaying the same mapped trace twice in
@@ -73,9 +72,9 @@ clusterOfSize(int servers)
 }
 
 const char *
-modeName(bool dirty, bool full)
+modeName(bool full)
 {
-    return full ? "full_rescan" : dirty ? "dirty" : "cached";
+    return full ? "full_rescan" : "dirty";
 }
 
 struct ModeMetrics
@@ -127,7 +126,7 @@ hashClusterState(const sim::Cluster &cluster, uint64_t &h)
 
 /** One replay (or synth) run in one scheduler mode. */
 ModeMetrics
-runStream(int servers, double horizon_s, bool dirty, bool full,
+runStream(int servers, double horizon_s, bool full,
           const trace::MappedTrace *mapped,
           const churn::ChurnConfig *synth_cfg)
 {
@@ -135,7 +134,6 @@ runStream(int servers, double horizon_s, bool dirty, bool full,
     workload::WorkloadRegistry registry;
 
     core::QuasarConfig qcfg;
-    qcfg.scheduler.dirty_set = dirty;
     qcfg.scheduler.full_rescan = full;
     qcfg.proactive_interval_s = horizon_s / 3.0;
     core::QuasarManager mgr(cluster, registry, qcfg);
@@ -264,7 +262,7 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
     bench::banner(
         smoke ? "trace replay (smoke): google + azure fixtures"
               : "trace replay: google + azure fixtures, dirty vs "
-                "cached + synth leg");
+                "full_rescan + synth leg");
 
     Fixture fixtures[2] = {
         {"google", "google_task_events.csv", 9, {}, {}},
@@ -339,15 +337,14 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
     struct Run
     {
         const Fixture *fx;
-        bool dirty;
         bool full;
         bool replay_check; ///< second dirty run: stability gate.
     };
     std::vector<Run> runs;
     for (const Fixture &fx : fixtures) {
-        runs.push_back({&fx, true, false, false});
-        runs.push_back({&fx, false, false, false});
-        runs.push_back({&fx, true, false, true});
+        runs.push_back({&fx, false, false});
+        runs.push_back({&fx, true, false});
+        runs.push_back({&fx, false, true});
     }
 
     bool all_identical = true;
@@ -355,10 +352,10 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
     std::vector<std::pair<const Fixture *, uint64_t>> dirty_hashes;
     bool wrote_run = false;
     for (const Run &r : runs) {
-        ModeMetrics m = runStream(servers, horizon, r.dirty, r.full,
+        ModeMetrics m = runStream(servers, horizon, r.full,
                                   &r.fx->mapped, nullptr);
         bool identical = true;
-        if (r.dirty && !r.replay_check) {
+        if (!r.full && !r.replay_check) {
             dirty_hashes.emplace_back(r.fx, m.placement_hash);
         } else {
             for (const auto &[fx, h] : dirty_hashes)
@@ -370,7 +367,7 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
                 all_identical = all_identical && identical;
         }
         const char *label =
-            r.replay_check ? "re-replay" : modeName(r.dirty, r.full);
+            r.replay_check ? "re-replay" : modeName(r.full);
         std::printf(
             "  %-6s %-11s: %8.0f decisions/s  (%llu calls)  "
             "depth %.1f/%zu  qos-viol %.3f  done %zu, departed %zu, "
@@ -432,7 +429,7 @@ runTraceReplayBench(bool smoke, const std::string &out_path,
                     fit.config.mix.analytics, fit.config.mix.service,
                     fit.config.mix.best_effort,
                     fit.config.phase_change_fraction);
-        ModeMetrics m = runStream(2000, horizon, true, false, nullptr,
+        ModeMetrics m = runStream(2000, horizon, false, nullptr,
                                   &fit.config);
         std::printf(
             "  synth  2000 dirty  : %8.0f decisions/s  (%llu calls) "

@@ -5,38 +5,29 @@
 #      suite (the repo's tier-1 gate).
 #   2. Build the test binary, the fault-recovery bench and the
 #      quasar-lint analyzer with -fsanitize=address,undefined
-#      (QUASAR_SANITIZE=address; ON is a back-compat alias) and run
-#      all three (the analyzer runs its fixture self-test); any
-#      sanitizer report fails the script. Then build the tests again
-#      with -fsanitize=thread (QUASAR_SANITIZE=thread) and run the
-#      shard + change-journal suites: the per-shard refresh/propose
-#      phases and the journal's multi-reader cursor contract are the
-#      repo's only concurrency, and TSan proves them race-free with
-#      real threads (ShardConfig.threads forces a pool even on
-#      single-core hosts).
+#      (QUASAR_SANITIZE=ON) and run all three (the analyzer runs its
+#      fixture self-test); any sanitizer report fails the script.
 #   3. Build Release and run the decision-path benchmark: proves the
 #      incremental scheduler picks identical placements to the
 #      full-rescan path and fails if the 200-server schedule-call
 #      mean regresses more than 25% against the committed
-#      BENCH_decision_path.json baseline. The fresh numbers are
-#      written back to that file so improvements can be committed.
+#      BENCH_decision_path.json baseline. The fresh numbers go to
+#      build-release/decision_path.json; the committed baseline is
+#      only read (refresh it by hand when a change is intentional).
 #   4. Run the churn-stream smoke (Release): the full bench's
-#      1000-server slice (dirty vs cached) plus a dirty-only
+#      1000-server slice (dirty vs full_rescan) plus a dirty-only
 #      larger-scale leg at 10000 servers — a seeded open-loop
-#      arrival/departure/fault stream — and two sharded merge legs
-#      (K=1 at 1k, K=4 at 10k, DESIGN.md §14). Fails on any
-#      placement divergence between modes or between a sharded leg
-#      and its scale's dirty leg, if any gated leg's decisions/sec
+#      arrival/departure/fault stream. Fails on any placement
+#      divergence between modes, if any gated leg's decisions/sec
 #      drops more than 25% below the committed BENCH_churn.json
-#      baseline, or if any placement hash (sharded legs included —
-#      the merge commit is bit-identical to the classic path at any
-#      K) diverges from the committed one (the stream is seeded and
-#      the decision path deterministic, so the hash must reproduce
+#      baseline, or if any dirty leg's placement hash diverges
+#      from the committed one (the stream is seeded and the
+#      decision path deterministic, so the hash must reproduce
 #      in-container; refresh the file with `bench/churn` — no
 #      --smoke — when a change is intentional).
 #   5. Run the trace-replay smoke (Release): both checked-in trace
 #      fixtures (Google task-events, Azure vmtable) parsed, mapped,
-#      and replayed through all three scheduler modes plus a
+#      and replayed through both scheduler modes plus a
 #      re-replay. Fails on any placement-hash divergence between
 #      modes, on an unstable re-replay, or if either parser's
 #      diagnostic counts drift from the fixtures' known malformed-row
@@ -54,7 +45,7 @@
 #   7. Run the topology smoke (Release): the cache-thrashed-socket
 #      scenario on 2-socket machines, socket-aware vs topology-blind
 #      homing (DESIGN.md §13). Fails if the aware leg's placement
-#      hash is not reproduced bit-identically by the cached-index and
+#      hash is not reproduced bit-identically by the full_rescan and
 #      replay legs, if socket-aware does not beat topology-blind on
 #      the services' QoS-violation rate, or if that rate regresses
 #      more than 0.05 (absolute) above the committed
@@ -77,10 +68,10 @@
 #         chaos (test_faults) and churn-equivalence suites plus the
 #         verify counters tests and the per-mutator death-test suite
 #         generated from src/verify/journaled_mutators.def: every
-#         dirty_set/cached decision is shadow-checked against
-#         full_rescan, every driver tick sweeps cluster invariants,
-#         every listed mutator provably trips the index audit when
-#         unjournaled, and any warning is an error.
+#         dirty-mode decision is shadow-checked against full_rescan,
+#         every driver tick sweeps cluster invariants, every listed
+#         mutator provably trips the index audit when unjournaled,
+#         and any warning is an error.
 #
 # Usage: ci/check.sh [jobs]   (defaults to nproc)
 set -euo pipefail
@@ -103,13 +94,6 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tools/quasar_lint --self-test \
     --fixture=tools/quasar-lint/fixture
 
-echo "== sanitizer: TSan build of the shard + journal suites =="
-cmake -B build-tsan -S . -DQUASAR_SANITIZE=thread \
-      -DCMAKE_BUILD_TYPE=Debug >/dev/null
-cmake --build build-tsan -j "$JOBS" --target quasar_tests
-./build-tsan/tests/quasar_tests \
-    --gtest_filter='Shard.*:ChangeJournal.*'
-
 echo "== decision-path: Release bench + regression gate =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$JOBS" --target micro_overheads
@@ -119,9 +103,9 @@ if [ -f BENCH_decision_path.json ]; then
                    --max-regression=0.25)
 fi
 ./build-release/bench/micro_overheads --decision-path \
-    --out=BENCH_decision_path.json "${BASELINE_ARGS[@]}"
+    --out=build-release/decision_path.json "${BASELINE_ARGS[@]}"
 
-echo "== churn smoke: mode + sharded equivalence, throughput/hash gates (1k + 10k) =="
+echo "== churn smoke: mode equivalence, throughput/hash gates (1k + 10k) =="
 cmake --build build-release -j "$JOBS" --target churn
 CHURN_BASELINE_ARGS=()
 if [ -f BENCH_churn.json ]; then
@@ -186,7 +170,7 @@ cmake -B build-verify -S . -DQUASAR_VERIFY=ON -DQUASAR_WERROR=ON \
       -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-verify -j "$JOBS" --target quasar_tests
 # Chaos suite: every fault/recovery path with per-tick invariant
-# sweeps; churn equivalence: all three scheduler modes bit-identical
+# sweeps; churn equivalence: both scheduler modes bit-identical
 # while the shadow oracle re-checks each incremental decision; the
 # Verify suite asserts the oracle actually ran; the Trace* and
 # HostingIndex suites replay the fixtures under the oracle so every
@@ -197,11 +181,8 @@ cmake --build build-verify -j "$JOBS" --target quasar_tests
 # Topology*/Socket* suites cover the NUMA descriptor, per-socket
 # ledger conservation (incl. the desynced-ledger death test, which
 # only arms in this QUASAR_VERIFY build), socket selection, and the
-# flat-topology replay-equivalence sweep; the Shard suite runs the
-# sharded decision path with every merge/optimistic decision checked
-# against the whole-cluster (resp. per-shard) shadow oracle plus the
-# sampled cross-shard conservation sweep.
+# flat-topology replay-equivalence sweep.
 ./build-verify/tests/quasar_tests \
-    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnClosedLoop.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*:Shard.*'
+    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnClosedLoop.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*'
 
 echo "== all checks passed =="

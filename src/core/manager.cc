@@ -29,23 +29,6 @@ QuasarManager::QuasarManager(sim::Cluster &cluster,
     // exactly as before.
     if (cfg_.overload.enabled)
         admission_.setAgingLimit(cfg_.overload.aging_limit_s);
-    if (cfg_.shard.enabled())
-        sharded_.emplace(cluster, cfg_.scheduler, cfg_.shard,
-                         &registry);
-}
-
-std::optional<Allocation>
-QuasarManager::schedAllocate(const Workload &w,
-                             const WorkloadEstimate &est,
-                             double required_perf,
-                             const EstimateLookup &estimates,
-                             bool may_evict)
-{
-    if (sharded_)
-        return sharded_->allocate(w, est, required_perf, estimates,
-                                  may_evict);
-    return scheduler_.allocate(w, est, required_perf, estimates,
-                               may_evict);
 }
 
 void
@@ -201,16 +184,12 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
             workload::isLatencyCritical(w.type)) {
             SchedulerConfig spread_cfg = scheduler_.config();
             spread_cfg.spread_fault_zones = true;
-            // Deliberately unsharded in BOTH modes: the zone-spread
-            // recovery walk is a one-off full_rescan-class decision,
-            // and keeping it identical here is part of why a fixed
-            // (K, seed) reproduces the unsharded placement hashes.
             GreedyScheduler spread(cluster_, spread_cfg, &registry_);
             alloc = spread.allocate(w, est, required, estimateLookup(),
                                     !w.best_effort);
         } else {
-            alloc = schedAllocate(w, est, required, estimateLookup(),
-                                  !w.best_effort);
+            alloc = scheduler_.allocate(w, est, required,
+                                        estimateLookup(), !w.best_effort);
         }
     }
     // Place the best allocation available and let monitoring adjust
@@ -420,8 +399,8 @@ QuasarManager::tryScaleOut(Workload &w, const WorkloadEstimate &est,
     // host a second share).
     auto hosting = cluster_.serversHosting(w.id);
     double residual = required - current;
-    auto alloc = schedAllocate(w, est, residual, estimateLookup(),
-                               !w.best_effort);
+    auto alloc = scheduler_.allocate(w, est, residual, estimateLookup(),
+                                     !w.best_effort);
     if (!alloc)
         return false;
     // Filter nodes on servers that already host w.
@@ -675,8 +654,8 @@ QuasarManager::reclassifyAndReschedule(Workload &w, double t)
     ++stats_.rescheduled;
 
     double required = requiredPerf(w, t);
-    auto alloc = schedAllocate(w, estimates_[w.id], required,
-                               estimateLookup(), !w.best_effort);
+    auto alloc = scheduler_.allocate(w, estimates_[w.id], required,
+                                     estimateLookup(), !w.best_effort);
     bool better = alloc.has_value() &&
                   (alloc->predicted_perf >=
                        cfg_.reschedule_hysteresis * old_predicted ||

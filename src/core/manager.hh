@@ -21,7 +21,6 @@
 #include "core/predictor.hh"
 #include "core/scheduler.hh"
 #include "driver/cluster_manager.hh"
-#include "shard/sharded_scheduler.hh"
 #include "workload/factory.hh"
 
 namespace quasar::core
@@ -38,11 +37,6 @@ struct QuasarConfig
      *  disabled by default so existing decision paths and their
      *  placement hashes are unperturbed. */
     OverloadConfig overload;
-    /** Sharded parallel decision path (src/shard/, DESIGN.md §14);
-     *  shards == 0 (the default) keeps the classic single scheduler.
-     *  DeterministicMerge reproduces the unsharded placements
-     *  bit-identically at any K. */
-    shard::ShardConfig shard;
 
     /** Enable proactive phase sampling (paper Sec. 4.1). */
     bool proactive_detection = true;
@@ -190,11 +184,6 @@ class QuasarManager : public driver::ClusterManager
     const profiling::Profiler &profiler() const { return profiler_; }
     Classifier &classifier() { return classifier_; }
     const GreedyScheduler &scheduler() const { return scheduler_; }
-    /** The sharded decision front-end, or nullptr when shards == 0. */
-    const shard::ShardedScheduler *sharded() const
-    {
-        return sharded_ ? &*sharded_ : nullptr;
-    }
     /** Overload controller (state machine, shed/boost decisions,
      *  decision hash, time-in-state). */
     const OverloadController &overload() const { return overload_; }
@@ -229,12 +218,6 @@ class QuasarManager : public driver::ClusterManager
     void adjust(workload::Workload &w, double t);
     void reclassifyAndReschedule(workload::Workload &w, double t);
     EstimateLookup estimateLookup() const;
-    /** Every scheduling decision funnels through here: the sharded
-     *  path when configured, the classic scheduler otherwise. */
-    std::optional<Allocation>
-    schedAllocate(const workload::Workload &w,
-                  const WorkloadEstimate &est, double required_perf,
-                  const EstimateLookup &estimates, bool may_evict);
 
     /**
      * One admission retry pass (tick / completion / server-up), with
@@ -261,10 +244,6 @@ class QuasarManager : public driver::ClusterManager
     profiling::Profiler profiler_;
     Classifier classifier_;
     GreedyScheduler scheduler_;
-    /** Engaged when cfg.shard.enabled(); owns the per-shard workers
-     *  and the commit protocol, replacing scheduler_ as the decision
-     *  path (scheduler_ still serves quality/platform queries). */
-    std::optional<shard::ShardedScheduler> sharded_;
     Monitor monitor_;
     AdmissionQueue admission_;
     OverloadController overload_;

@@ -19,31 +19,27 @@
  * index revalidated against the server's change epoch
  * (sim::Server::version()) instead of being recomputed per placement.
  *
- * Three ranking modes, all picking bit-identical placements:
- *  - dirty-set (default, SchedulerConfig::dirty_set): the per-server
- *    index is kept fresh by replaying the cluster's ChangeJournal —
- *    only servers actually touched since the last decision are
- *    recomputed — and the candidate *order* is maintained
- *    incrementally alongside it. Servers are grouped into buckets of
- *    bitwise-equal workload-independent signature (platform index,
- *    speed factor, newcomer-contention vector); every member of a
- *    bucket has the same quality for every workload, so the
- *    per-workload factors (platform factor × interference multiplier)
- *    are applied once per *bucket* at read time, and candidates are
- *    drained best-first through an admissible per-(platform, speed)
- *    upper bound (the multiplier never exceeds 1). An allocate that
- *    settles after k servers costs O(dirty + E + k log B) where E is
- *    the buckets in the few expanded top levels and B ≤ N the live
- *    bucket count — never an O(N) scoring walk or heapify.
- *  - cached (dirty_set = false): the pre-journal behavior — every
- *    decision checks every server's change epoch, refreshes stale
- *    entries lazily, then heapifies all candidates (O(N) per call).
- *    Kept as the A/B midpoint.
+ * Two ranking modes, both picking bit-identical placements:
+ *  - dirty (default): the per-server index is kept fresh by replaying
+ *    the cluster's ChangeJournal — only servers actually touched since
+ *    the last decision are recomputed — and the candidate *order* is
+ *    maintained incrementally alongside it. Servers are grouped into
+ *    buckets of bitwise-equal workload-independent signature
+ *    (platform index, speed factor, newcomer-contention vector); every
+ *    member of a bucket has the same quality for every workload, so
+ *    the per-workload factors (platform factor × interference
+ *    multiplier) are applied once per *bucket* at read time, and
+ *    candidates are drained best-first through an admissible
+ *    per-(platform, speed) upper bound (the multiplier never exceeds
+ *    1). An allocate that settles after k servers costs
+ *    O(dirty + E + k log B) where E is the buckets in the few
+ *    expanded top levels and B ≤ N the live bucket count — never an
+ *    O(N) scoring walk or heapify.
  *  - full_rescan: the legacy recompute-everything path (full ledger
- *    walks, eager sort), demoted to a tests-only shadow oracle: the
- *    QUASAR_VERIFY layer and the equivalence tests re-run decisions
- *    through it, but benches no longer carry a full_rescan leg and
- *    production configs must not set it.
+ *    walks, eager sort), kept only as the reference: the
+ *    QUASAR_VERIFY shadow oracle, the equivalence tests and the
+ *    benches' referee legs re-run decisions through it; production
+ *    configs must not set it.
  */
 
 #pragma once
@@ -64,11 +60,6 @@
 #include "stats/timing.hh"
 #include "topology/topology.hh"
 #include "workload/workload.hh"
-
-namespace quasar::shard
-{
-class ShardedScheduler; // src/shard/ — the sharded decision path.
-}
 
 namespace quasar::core
 {
@@ -132,20 +123,12 @@ struct SchedulerConfig
      * Legacy decision path: recompute every server's contention
      * summary from the ledger and fully re-sort all candidates on
      * each placement, bypassing the incremental per-server index.
-     * Tests-only: the shadow oracle of the QUASAR_VERIFY layer and
-     * the equivalence tests set it (and must keep picking identical
-     * placements); benches and production configs must not.
+     * Reference only: the shadow oracle of the QUASAR_VERIFY layer,
+     * the equivalence tests and the benches' referee legs set it (and
+     * must keep picking identical placements); production configs
+     * must not.
      */
     bool full_rescan = false;
-    /**
-     * Dirty-set indexing (default): refresh the per-server index by
-     * replaying the cluster's change journal instead of checking
-     * every server's epoch per decision, and score candidates from
-     * the contiguous index. false falls back to the per-call
-     * epoch-check path. Ignored when full_rescan is set. All modes
-     * pick identical placements.
-     */
-    bool dirty_set = true;
     /**
      * Socket selection on multi-socket servers (DESIGN.md §13): pick
      * the socket with the best predicted interference multiplier for
@@ -229,29 +212,14 @@ class GreedyScheduler
     /**
      * The complete candidate order this scheduler would walk for the
      * given estimate: every server as (quality, id), best first, ties
-     * broken by ascending id. The dirty-set mode drains its maintained
-     * incremental order; the other modes score and sort from scratch.
+     * broken by ascending id. The dirty mode drains its maintained
+     * incremental order; full_rescan scores and sorts from scratch.
      * Diagnostic/test surface (the property suite compares the drained
      * order against a from-scratch std::sort after every mutation) —
      * O(N log N), not a decision-path call.
      */
     std::vector<std::pair<double, ServerId>>
     rankedCandidates(const WorkloadEstimate &est) const;
-
-    /**
-     * Shard seam (src/shard/, DESIGN.md §14): restrict this scheduler
-     * to the servers whose entry in *shard_of equals `shard`. The
-     * index, maintained order, and journal replay then cover exactly
-     * that subset — the scheduler becomes one shard's decision
-     * worker, with its own cursor, cache, and candidate order. The
-     * table must outlive the scheduler and stay consistent with the
-     * cluster (the partitioner rebuilds it only on catalog/size
-     * change, which forces a re-prime here via the size check in
-     * refreshIndex). Passing nullptr lifts the restriction. Resets
-     * the index: the next refresh re-primes from scratch.
-     */
-    void restrictToShard(const std::vector<uint32_t> *shard_of,
-                         uint32_t shard);
 
 #ifdef QUASAR_VERIFY
     /**
@@ -263,10 +231,6 @@ class GreedyScheduler
 #endif
 
   private:
-    /** The sharded decision path drives the private walk/drain seams
-     *  (allocateWithSource, beginOrderedCandidates) directly. */
-    friend class quasar::shard::ShardedScheduler;
-
     struct NodePick
     {
         size_t col = 0;
@@ -279,9 +243,9 @@ class GreedyScheduler
 
     /**
      * Feasibility class of a server for the candidate drain — a
-     * cached factorization of allocateImpl's rank-time filter (which
-     * the cached mode applies per decision, making the filtered drain
-     * placement-preserving by construction):
+     * cached factorization of the rank-time filter full_rescan applies
+     * per decision (so the filtered drain emits exactly the candidate
+     * set the oracle ranks):
      *  - Open:   available and ≥ 1 free core — emitted always.
      *  - Evict:  available, no free core, but the always-evictable
      *            best-effort pool covers one — emitted iff may_evict.
@@ -345,7 +309,7 @@ class GreedyScheduler
         double be_mem = 0.0;
         double be_storage = 0.0;
         /** Catalog index of the server's platform (fixed per server;
-         *  cached so the dirty-set walk never hashes a name). */
+         *  cached so the dirty walk never hashes a name). */
         size_t platform_idx = 0;
         /** Minimum priority over non-best-effort residents holding at
          *  least one core and known to the registry (kNoPrio when
@@ -427,7 +391,7 @@ class GreedyScheduler
      * Which feasibility classes a drain may emit. everything() is the
      * diagnostic view (rankedCandidates); allocate builds the filter
      * from (may_evict, w.priority, registry) so the drained sequence
-     * is exactly the cached mode's rank-time filtered candidate set.
+     * is exactly full_rescan's rank-time filtered candidate set.
      */
     struct OrderFilter
     {
@@ -474,7 +438,7 @@ class GreedyScheduler
     /** True when this scheduler maintains the incremental order. */
     bool orderMaintained() const
     {
-        return cfg_.dirty_set && !cfg_.full_rescan;
+        return !cfg_.full_rescan;
     }
 
     /** Move id into the bucket matching e (no-op when unchanged). */
@@ -496,10 +460,6 @@ class GreedyScheduler
                                             FeasClass cls,
                                             int prio_key);
 
-    /** True when the filter admits buckets of this class/key. */
-    static bool filterAdmits(const OrderFilter &f, FeasClass cls,
-                             int prio_key);
-
     /** Start a drain of the maintained order for one estimate. */
     void beginOrderedCandidates(OrderStream &s,
                                 const WorkloadEstimate &est,
@@ -511,55 +471,19 @@ class GreedyScheduler
                          const WorkloadEstimate &est) const;
 
     /**
-     * Dirty-set mode: bring the whole index up to date by replaying
+     * Dirty mode: bring the whole index up to date by replaying
      * the cluster's change journal from this scheduler's cursor
      * (falling back to a full epoch-check scan when the journal was
      * compacted past it or the index is unprimed).
      */
     void refreshIndex() const;
 
-    /**
-     * External candidate source for the greedy walk: i → the i-th
-     * best candidate or nullopt past the end. Must present a sequence
-     * ordered by rankedBefore and stable under re-reads of the same
-     * index (the fault-zone relaxation pass rewinds). The sharded
-     * commit phase injects its K-way shard merge through this.
-     */
-    using CandidateFn =
-        std::function<std::optional<std::pair<double, ServerId>>(
-            size_t)>;
-
     /** The greedy walk itself (allocate() wraps it so the verify
-     *  build can shadow-check each decision on the way out). When
-     *  `external` is set the ranking phase is skipped entirely and
-     *  candidates are pulled from it instead. */
+     *  build can shadow-check each decision on the way out). */
     std::optional<Allocation>
     allocateImpl(const workload::Workload &w,
                  const WorkloadEstimate &est, double required_perf,
-                 const EstimateLookup &estimates, bool may_evict,
-                 const CandidateFn *external = nullptr) const;
-
-    /**
-     * Shard-merge commit seam: the full greedy walk, fed by an
-     * injected candidate stream. State reads go through this
-     * instance's epoch-checked cache, which yields bitwise-identical
-     * values from any instance, so the caller only has to reproduce
-     * the unsharded candidate *order* to reproduce its placements.
-     */
-    std::optional<Allocation>
-    allocateWithSource(const workload::Workload &w,
-                       const WorkloadEstimate &est,
-                       double required_perf,
-                       const EstimateLookup &estimates, bool may_evict,
-                       const CandidateFn &source) const;
-
-    /** True when id belongs to this scheduler's shard (or no
-     *  restriction is installed). */
-    bool memberServer(ServerId id) const
-    {
-        return !shard_of_ || (size_t(id) < shard_of_->size() &&
-                              (*shard_of_)[size_t(id)] == shard_id_);
-    }
+                 const EstimateLookup &estimates, bool may_evict) const;
 
 #ifdef QUASAR_VERIFY
     /**
@@ -612,19 +536,15 @@ class GreedyScheduler
     const sim::Cluster &cluster_;
     SchedulerConfig cfg_;
     const workload::WorkloadRegistry *registry_;
-    /** Shard membership table + this scheduler's shard id (see
-     *  restrictToShard); nullptr = the whole cluster. */
-    const std::vector<uint32_t> *shard_of_ = nullptr;
-    uint32_t shard_id_ = 0;
 
     /** Platform-name→catalog-index map, built once per catalog. */
     mutable std::unordered_map<std::string, size_t> platform_idx_;
     mutable size_t indexed_catalog_size_ = 0;
     /** The incremental per-server ranking index. */
     mutable std::vector<ServerCacheEntry> cache_;
-    /** Dirty-set journal cursor (next journal offset to replay). */
+    /** Dirty-mode journal cursor (next journal offset to replay). */
     mutable uint64_t journal_cursor_ = 0;
-    /** True once the dirty-set index fully covers the cluster. */
+    /** True once the dirty-mode index fully covers the cluster. */
     mutable bool index_primed_ = false;
 
     /** No-bucket sentinel for server_bucket_. */

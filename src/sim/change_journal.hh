@@ -1,7 +1,7 @@
 /**
  * @file
  * Change journal: a bounded append-only log of server mutations that
- * lets readers (the scheduler's dirty-set index) discover *which*
+ * lets readers (the scheduler's dirty-mode index) discover *which*
  * servers changed since their last visit in O(changes) instead of
  * scanning every server's change epoch per decision — the difference
  * between O(dirty) and O(N) bookkeeping at 10k servers.
@@ -9,7 +9,7 @@
  * The cluster owns one journal; every placement-relevant Server
  * mutation (the same set that bumps Server::version()) appends the
  * server's id. Readers keep their own cursor into the log, so any
- * number of independent schedulers can consume it concurrently.
+ * number of independent schedulers can consume it.
  * Entries are *not* deduplicated — readers dedupe naturally by
  * comparing their cached epoch against Server::version() when they
  * refresh an entry.
@@ -17,7 +17,7 @@
  * The log is bounded: when it reaches its capacity the oldest half is
  * dropped and the base offset advances. A reader whose cursor falls
  * behind the base has missed entries and must fall back to a full
- * version-check scan (exactly the pre-dirty-set behavior), then
+ * version-check scan (exactly the pre-journal behavior), then
  * resynchronize its cursor to end(). Memory therefore stays O(cap)
  * regardless of run length, and laggards degrade gracefully instead
  * of reading stale state.
@@ -28,16 +28,13 @@
  * at scale. The absolute-offset contract (base()/end()/at()) is
  * unchanged; only the retained window's physical layout moved.
  *
- * Multi-reader cursor contract (the shard decision path fans the
- * journal out to K per-shard readers, each with its own cursor):
+ * Multi-reader cursor contract (several dirty-mode schedulers may
+ * read one cluster's journal, each with its own cursor):
  *
  *  1. Reads (base()/end()/at()/totalNoted()) are const and touch no
- *     mutable state, so any number of reader threads may call them
- *     concurrently — the per-shard refresh phase does exactly that.
- *  2. note() is single-writer and must never run concurrently with a
- *     reader: the simulation mutates servers (and notes them) only
- *     between decision phases, never during one. This phasing is the
- *     synchronization; the journal itself carries no locks.
+ *     mutable state; readers never perturb each other.
+ *  2. note() runs only between decisions: the simulation mutates
+ *     servers (and notes them) outside any reader's replay.
  *  3. Compaction only advances base() — retained offsets keep their
  *     values and entries never move to a different absolute offset.
  *     A reader must therefore snapshot `end()` once, replay
@@ -48,9 +45,9 @@
  *     cursor >= base() before replaying and otherwise fall back to a
  *     full version-check scan, then resync to end(). at() asserts
  *     the window so a reader that skips the check dies loudly in
- *     debug builds instead of replaying aliased entries. With K
- *     cursors the laggard check is per-reader: one shard falling
- *     back never perturbs the others' incremental replay.
+ *     debug builds instead of replaying aliased entries. The laggard
+ *     check is per-reader: one cursor falling back never perturbs the
+ *     others' incremental replay.
  */
 
 #pragma once

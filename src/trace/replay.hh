@@ -9,9 +9,8 @@
  * (MappedTrace, seed) — arrivals, departures, phase changes, and the
  * drawn workload population never consult cluster, scheduler, or
  * manager state. Identical inputs therefore produce bit-identical
- * placements across scheduler modes (dirty_set / cached /
- * full_rescan) and across repeated replays, which is what
- * bench/trace_replay gates on.
+ * placements across scheduler modes (dirty / full_rescan) and across
+ * repeated replays, which is what bench/trace_replay gates on.
  *
  * The canonical per-row demands steer the map (classification,
  * population rescale); within-class workload parameters (family,

@@ -8,7 +8,7 @@
  * ranking sorted by rankedBefore (quality descending, ServerId
  * ascending on exact ties). Also the regression test for the
  * priority-eviction guard: hoisting priorityEvictable() behind the
- * free < 1 filter must leave placements bit-identical in all three
+ * free < 1 filter must leave placements bit-identical in both
  * decision-path modes.
  */
 
@@ -143,9 +143,9 @@ expectSameAllocation(const std::optional<Allocation> &a,
 TEST(RankingOrder, IncrementalMatchesFromScratchUnderRandomMutations)
 {
     RankWorld w;
-    GreedyScheduler dirty(w.cluster); // dirty_set is the default
-    SchedulerConfig cached_cfg;
-    cached_cfg.dirty_set = false;
+    GreedyScheduler dirty(w.cluster); // dirty is the default
+    SchedulerConfig rescan_cfg;
+    rescan_cfg.full_rescan = true;
 
     // Two probe estimates with different platform preferences so the
     // read-time factors actually discriminate between platforms.
@@ -226,10 +226,10 @@ TEST(RankingOrder, IncrementalMatchesFromScratchUnderRandomMutations)
         for (const WorkloadEstimate *probe : {&probe_a, &probe_b}) {
             std::string ctx = "step " + std::to_string(step);
             auto got = dirty.rankedCandidates(*probe);
-            // From-scratch referee: a fresh cached-mode scheduler has
-            // no incremental state, scores every server and sorts by
-            // rankedBefore.
-            GreedyScheduler fresh(w.cluster, cached_cfg);
+            // From-scratch referee: a full_rescan scheduler has no
+            // incremental state, scores every server from the live
+            // ledger and sorts by rankedBefore.
+            GreedyScheduler fresh(w.cluster, rescan_cfg);
             auto want = fresh.rankedCandidates(*probe);
             expectSameOrder(got, want, ctx);
             expectWellOrdered(got, ctx);
@@ -248,8 +248,6 @@ TEST(RankingOrder, PriorityEvictionPlacementsIdenticalAcrossModes)
     RankWorld w;
     SchedulerConfig rescan_cfg;
     rescan_cfg.full_rescan = true;
-    SchedulerConfig cached_cfg;
-    cached_cfg.dirty_set = false;
 
     // Pin every server full with non-best-effort low-priority
     // residents: free_cores == 0 and be_cores == 0, so a candidate
@@ -275,14 +273,11 @@ TEST(RankingOrder, PriorityEvictionPlacementsIdenticalAcrossModes)
     job.priority = 5;
 
     GreedyScheduler dirty(w.cluster, SchedulerConfig{}, &w.registry);
-    GreedyScheduler cached(w.cluster, cached_cfg, &w.registry);
     GreedyScheduler rescan(w.cluster, rescan_cfg, &w.registry);
 
     auto a = dirty.allocate(job, est, 50.0, nullptr, true);
-    auto b = cached.allocate(job, est, 50.0, nullptr, true);
-    auto c = rescan.allocate(job, est, 50.0, nullptr, true);
-    expectSameAllocation(a, b, "dirty vs cached");
-    expectSameAllocation(a, c, "dirty vs full_rescan");
+    auto b = rescan.allocate(job, est, 50.0, nullptr, true);
+    expectSameAllocation(a, b, "dirty vs full_rescan");
 
     // The scenario must actually preempt: an allocation that fit in
     // leftover capacity would not exercise the guard at all.

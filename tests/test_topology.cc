@@ -17,7 +17,7 @@
  *    aborts the sweep.
  *
  *  - `Socket*` placement: socket-aware selection avoids a thrashed
- *    socket where the blind fewest-cores rule walks into it; all three
+ *    socket where the blind fewest-cores rule walks into it; both
  *    scheduler modes stay bit-identical on multi-socket catalogs; and
  *    the flat single-socket model — default or spelled out as
  *    Topology::single() — is bit-identical to the pre-topology
@@ -495,7 +495,6 @@ namespace
 enum class Mode
 {
     DirtySet,
-    Cached,
     FullRescan,
 };
 
@@ -520,7 +519,6 @@ runChurn(const std::vector<sim::Platform> &catalog,
     workload::WorkloadRegistry registry;
     core::QuasarConfig cfg;
     cfg.seed = 7;
-    cfg.scheduler.dirty_set = mode == Mode::DirtySet;
     cfg.scheduler.full_rescan = mode == Mode::FullRescan;
     core::QuasarManager mgr(cluster, registry, cfg);
     workload::WorkloadFactory seeder{stats::Rng(8)};
@@ -587,7 +585,7 @@ expectSameRun(const ChurnRun &a, const ChurnRun &b,
 TEST(SocketReplay, AllModesBitIdenticalOnTwoSocketCatalog)
 {
     // The socket-selection step rides the same decision path as server
-    // selection, so the three scheduler modes must keep picking
+    // selection, so both scheduler modes must keep picking
     // bit-identical (server, socket) pairs on NUMA machines too.
     auto catalog = sim::numaPlatforms();
     std::vector<int> counts(catalog.size(), 4);
@@ -596,10 +594,8 @@ TEST(SocketReplay, AllModesBitIdenticalOnTwoSocketCatalog)
                                  Mode::FullRescan);
         ChurnRun dirty = runChurn(catalog, counts, seed,
                                   Mode::DirtySet);
-        ChurnRun cached = runChurn(catalog, counts, seed, Mode::Cached);
         std::string ctx = "seed " + std::to_string(seed);
         expectSameRun(dirty, full, ctx + " dirty-vs-full");
-        expectSameRun(cached, full, ctx + " cached-vs-full");
         // The catalog is multi-socket: the sweep only proves something
         // if some placements actually homed off socket 0.
         bool off_zero = false;
@@ -627,8 +623,7 @@ TEST(SocketReplay, FlatTopologyEquivalenceTwentySeeds)
                                  Mode::DirtySet);
         for (int s : base.sockets)
             EXPECT_EQ(s, 0) << ctx;
-        for (Mode mode :
-             {Mode::DirtySet, Mode::Cached, Mode::FullRescan}) {
+        for (Mode mode : {Mode::DirtySet, Mode::FullRescan}) {
             ChurnRun ex = runChurn(explicit_catalog, counts, seed,
                                    mode);
             expectSameRun(ex, base,

@@ -515,7 +515,6 @@ struct ReplayRun
 enum class Mode
 {
     DirtySet,
-    Cached,
     FullRescan,
 };
 
@@ -526,7 +525,6 @@ runReplayScenario(const trace::MappedTrace &mapped, Mode mode)
     workload::WorkloadRegistry registry;
     core::QuasarConfig cfg;
     cfg.seed = 7;
-    cfg.scheduler.dirty_set = mode == Mode::DirtySet;
     cfg.scheduler.full_rescan = mode == Mode::FullRescan;
     core::QuasarManager mgr(cluster, registry, cfg);
     workload::WorkloadFactory seeder{stats::Rng(8)};
@@ -589,9 +587,7 @@ TEST(TraceReplay, AllSchedulerModesBitIdentical)
     ASSERT_GT(mapped.items.size(), 100u);
     ReplayRun full = runReplayScenario(mapped, Mode::FullRescan);
     ReplayRun dirty = runReplayScenario(mapped, Mode::DirtySet);
-    ReplayRun cached = runReplayScenario(mapped, Mode::Cached);
     expectSameReplayRun(dirty, full, "dirty-vs-full");
-    expectSameReplayRun(cached, full, "cached-vs-full");
     // The run only proves something if the trace actually churned.
     size_t finished = 0;
     for (size_t i = 0; i < full.completed.size(); ++i)

@@ -84,7 +84,7 @@ TEST(Verify, ScenarioSoakExercisesSweepsAndShadowOracle)
     // The driver sweeps the cluster once per tick.
     EXPECT_GT(after.cluster_sweeps, before.cluster_sweeps)
         << "tick sweep never ran";
-    // The manager's scheduler runs in the default dirty_set mode, so
+    // The manager's scheduler runs in the default dirty mode, so
     // every placement decision above went through the shadow oracle.
     EXPECT_GT(after.shadow_checks, before.shadow_checks)
         << "shadow oracle never ran";
@@ -130,7 +130,7 @@ TEST(Verify, FullRescanModeTakesNoShadowChecks)
 TEST(Verify, IndexAuditsFireAndCount)
 {
     sim::Cluster cluster = sim::Cluster::localCluster();
-    core::GreedyScheduler dirty(cluster); // dirty_set default
+    core::GreedyScheduler dirty(cluster); // dirty mode is the default
     core::WorkloadEstimate est;
     est.platform_factor.assign(cluster.catalog().size(), 1.0);
 
@@ -230,7 +230,7 @@ void
 mutatorTripsAudit(const std::string &name)
 {
     sim::Cluster cluster = sim::Cluster::localCluster();
-    core::GreedyScheduler dirty(cluster); // dirty_set default
+    core::GreedyScheduler dirty(cluster); // dirty mode is the default
     core::WorkloadEstimate est;
     est.platform_factor.assign(cluster.catalog().size(), 1.0);
 

@@ -49,11 +49,10 @@ class Server
         bumpVersion();
     }
 
-    // The cross-shard hazard: a shard worker reaching around the
-    // journal to move another shard's resident. Every per-shard
+    // A resident move that reaches around the journal. Every reader
     // cursor replays the journal to stay coherent, so an unjournaled
-    // write desyncs K readers at once — same rule, named for the
-    // failure it now guards against.
+    // write desyncs all of them at once — the generic unjournaled-
+    // mutation rule must flag it.
     void crossShardSteal(int v)
     {
         tasks_.push_back(v); // expect(mutation-journaling)

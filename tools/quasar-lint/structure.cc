@@ -509,15 +509,11 @@ journaledScope(const std::string &path)
            path.find("fixture/") != std::string::npos;
 }
 
-/** Entry points of the scheduler decision cone. The sharded path's
- *  front door is listed alongside the classic scheduler's so the
- *  per-shard worker phases (merge feeds, Omega proposals) sit inside
- *  the purity cone even in builds where nothing else reaches them. */
+/** Entry points of the scheduler decision cone. */
 const char *const kConeEntries[] = {
     "GreedyScheduler::allocate",
     "GreedyScheduler::refreshIndex",
     "GreedyScheduler::refreshEntryIndexed",
-    "ShardedScheduler::allocate",
 };
 
 } // namespace
@@ -681,8 +677,7 @@ layerRank(const std::string &path, std::string *dir_out)
         {"linalg", 1},    {"topology", 1},     {"tracegen", 1},
         {"sim", 2},       {"workload", 3},     {"profiling", 4},
         {"driver", 5},    {"core", 6},         {"churn", 6},
-        {"shard", 6},     {"baselines", 7},    {"trace", 7},
-        {"verify", 7},
+        {"baselines", 7}, {"trace", 7},        {"verify", 7},
     };
     auto componentAfter = [&path](size_t pos) {
         size_t end = path.find('/', pos);
@@ -719,7 +714,7 @@ layerRank(const std::string &path, std::string *dir_out)
 
 const char *const kLayerOrder =
     "common/interference/stats < linalg/topology/tracegen < sim < "
-    "workload < profiling < driver < core/churn/shard < "
+    "workload < profiling < driver < core/churn < "
     "baselines/trace/verify < bench/tests/examples/tools";
 
 } // namespace
