@@ -34,7 +34,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -48,22 +47,6 @@ using namespace quasar;
 
 namespace
 {
-
-/** The paper's testbeds, scaled up by replicating the EC2 mix. */
-sim::Cluster
-clusterOfSize(int servers)
-{
-    if (servers == 40)
-        return sim::Cluster::localCluster();
-    if (servers == 200)
-        return sim::Cluster::ec2Cluster();
-    auto catalog = sim::ec2Platforms();
-    std::vector<int> counts = {6, 6, 8, 14, 6, 8, 16, 30,
-                               8, 30, 8, 16, 30, 14};
-    for (int &c : counts)
-        c *= servers / 200;
-    return sim::Cluster(catalog, counts);
-}
 
 const char *
 modeName(bool full, bool rerun)
@@ -144,7 +127,7 @@ streamFor(int servers, double horizon_s)
 ModeMetrics
 runMode(int servers, double horizon_s, bool full)
 {
-    sim::Cluster cluster = clusterOfSize(servers);
+    sim::Cluster cluster = bench::clusterOfSize(servers);
     workload::WorkloadRegistry registry;
 
     core::QuasarConfig qcfg;
@@ -216,46 +199,6 @@ runMode(int servers, double horizon_s, bool full)
     m.place_ms = mgr.scheduler().timing().place.meanSeconds() * 1e3;
     m.tick_ms = drv.tickTiming().meanSeconds() * 1e3;
     return m;
-}
-
-struct BaselineRow
-{
-    bool found = false;
-    double rate = std::nan("");
-    uint64_t hash = 0;
-};
-
-/** The committed dirty-mode row for a scale: decisions/s + hash.
- *  The mode match includes the closing quote so "dirty-rerun" rows
- *  never alias "dirty". */
-BaselineRow
-baselineDirty(const std::string &path, int servers)
-{
-    BaselineRow row;
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return row;
-    char line[1024];
-    char want[64];
-    std::snprintf(want, sizeof(want), "\"servers\": %d,", servers);
-    while (std::fgets(line, sizeof(line), f)) {
-        if (!std::strstr(line, want) ||
-            !std::strstr(line, "\"mode\": \"dirty\""))
-            continue;
-        const char *key = std::strstr(line, "\"decisions_per_s\":");
-        if (key)
-            row.rate =
-                std::atof(key + std::strlen("\"decisions_per_s\":"));
-        const char *hkey = std::strstr(line, "\"placement_hash\": \"");
-        if (hkey)
-            row.hash = std::strtoull(
-                hkey + std::strlen("\"placement_hash\": \""), nullptr,
-                16);
-        row.found = true;
-        break;
-    }
-    std::fclose(f);
-    return row;
 }
 
 int
@@ -384,33 +327,41 @@ runChurnBench(bool smoke, const std::string &out_path,
         // stream + deterministic decision path).
         bool any = false;
         for (const auto &[servers, rate, hash] : dirty_results) {
-            BaselineRow base = baselineDirty(baseline_path, servers);
-            if (!base.found || std::isnan(base.rate) ||
-                base.rate <= 0.0)
+            // The mode match includes the closing quote so
+            // "dirty-rerun" rows never alias "dirty".
+            const std::string row = bench::baselineRow(
+                baseline_path,
+                {"\"servers\": " + std::to_string(servers) + ",",
+                 "\"mode\": \"dirty\""});
+            const double base_rate =
+                bench::rowNumber(row, "decisions_per_s");
+            const uint64_t base_hash =
+                bench::rowHex(row, "placement_hash");
+            if (std::isnan(base_rate) || base_rate <= 0.0)
                 continue;
             any = true;
-            if (!(rate > base.rate * (1.0 - max_regression))) {
+            if (!(rate > base_rate * (1.0 - max_regression))) {
                 std::fprintf(stderr,
                              "FAIL: dirty decisions/s at %d servers "
                              "(%.0f) regressed >%.0f%% vs baseline "
                              "%.0f\n",
                              servers, rate, max_regression * 100.0,
-                             base.rate);
+                             base_rate);
                 return 1;
             }
-            if (base.hash != 0 && hash != base.hash) {
+            if (base_hash != 0 && hash != base_hash) {
                 std::fprintf(stderr,
                              "FAIL: dirty placement hash at %d "
                              "servers (%016llx) diverged from the "
                              "committed baseline (%016llx)\n",
                              servers, (unsigned long long)hash,
-                             (unsigned long long)base.hash);
+                             (unsigned long long)base_hash);
                 return 1;
             }
             std::printf("gate ok at %d servers: %.0f decisions/s vs "
                         "baseline %.0f (limit -%.0f%%), hash "
                         "reproduced\n",
-                        servers, rate, base.rate,
+                        servers, rate, base_rate,
                         max_regression * 100.0);
         }
         if (!any)

@@ -1,18 +1,25 @@
 /**
  * @file
  * Shared helpers for the experiment benches: standard seed-workload
- * sets, table formatting, and scenario glue. Each bench binary
- * regenerates one table or figure of the paper and prints the same
- * rows/series the paper reports.
+ * sets, table formatting, scenario glue, and readers for committed
+ * baseline rows. Each bench binary regenerates one table or figure of
+ * the paper and prints the same rows/series the paper reports.
  */
 
 #pragma once
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "sim/cluster.hh"
 #include "workload/factory.hh"
 
 namespace quasar::bench
@@ -34,6 +41,70 @@ inline void
 section(const std::string &title)
 {
     std::printf("\n--- %s ---\n", title.c_str());
+}
+
+/**
+ * The paper's testbeds plus scaled EC2 mixes: 40 servers is the local
+ * cluster, 200 the EC2 cluster, and any other multiple of 200
+ * replicates the EC2 per-platform counts.
+ */
+inline sim::Cluster
+clusterOfSize(int servers)
+{
+    if (servers == 40)
+        return sim::Cluster::localCluster();
+    if (servers == 200)
+        return sim::Cluster::ec2Cluster();
+    auto catalog = sim::ec2Platforms();
+    std::vector<int> counts = {6, 6, 8, 14, 6, 8, 16, 30,
+                               8, 30, 8, 16, 30, 14};
+    for (int &c : counts)
+        c *= servers / 200;
+    return sim::Cluster(catalog, counts);
+}
+
+/**
+ * The first line of a committed baseline (one JSON row per line) that
+ * contains every marker; empty when the file or the row is missing.
+ */
+inline std::string
+baselineRow(const std::string &path,
+            std::initializer_list<std::string_view> markers)
+{
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        bool all = true;
+        for (std::string_view m : markers)
+            all = all && line.find(m) != std::string::npos;
+        if (all)
+            return line;
+    }
+    return {};
+}
+
+/** The number after `"key":` on a baseline row; NaN when absent. */
+inline double
+rowNumber(const std::string &row, std::string_view key)
+{
+    const std::string tag = "\"" + std::string(key) + "\":";
+    size_t at = row.find(tag);
+    return at == std::string::npos
+               ? std::nan("")
+               : std::atof(row.c_str() + at + tag.size());
+}
+
+/** The hex string value of `"key": "..."` on a baseline row; 0 when
+ *  absent. */
+inline uint64_t
+rowHex(const std::string &row, std::string_view key)
+{
+    const std::string tag = "\"" + std::string(key) + "\": \"";
+    size_t at = row.find(tag);
+    return at == std::string::npos
+               ? 0
+               : std::strtoull(row.c_str() + at + tag.size(), nullptr,
+                               16);
 }
 
 /**

@@ -23,7 +23,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench/common.hh"
@@ -164,34 +163,13 @@ BM_ClassifyExhaustive(benchmark::State &state)
 }
 BENCHMARK(BM_ClassifyExhaustive);
 
-namespace
-{
-
-/** The paper's testbeds plus a 5x EC2 mix for the 1000-server point. */
-sim::Cluster
-clusterOfSize(int servers)
-{
-    if (servers == 40)
-        return sim::Cluster::localCluster();
-    if (servers == 200)
-        return sim::Cluster::ec2Cluster();
-    auto catalog = sim::ec2Platforms();
-    std::vector<int> counts = {6, 6, 8, 14, 6, 8, 16, 30,
-                               8, 30, 8, 16, 30, 14};
-    for (int &c : counts)
-        c *= servers / 200;
-    return sim::Cluster(catalog, counts);
-}
-
-} // namespace
-
 static void
 BM_GreedyAllocate(benchmark::State &state)
 {
     // Profiler/classifier anchored on the *cluster's* catalog: the
     // estimate's platform-factor vector must have one entry per
     // catalog platform or ranking reads past its end.
-    sim::Cluster cluster = clusterOfSize(int(state.range(0)));
+    sim::Cluster cluster = bench::clusterOfSize(int(state.range(0)));
     profiling::Profiler profiler(cluster.catalog(), {});
     core::Classifier clf(profiler, {}, 7);
     workload::WorkloadFactory factory{stats::Rng(7777)};
@@ -325,7 +303,7 @@ runMode(int servers, bool full_rescan,
         const std::vector<StreamEntry> &stream,
         const workload::Workload &be)
 {
-    sim::Cluster cluster = clusterOfSize(servers);
+    sim::Cluster cluster = bench::clusterOfSize(servers);
     prepopulate(cluster, be);
     core::SchedulerConfig cfg;
     cfg.full_rescan = full_rescan;
@@ -384,30 +362,6 @@ sameDecisions(const std::vector<core::Allocation> &a,
     return true;
 }
 
-/**
- * Pull "incremental_mean_s" off the baseline's 200-server line; NaN
- * when the file or field is missing (no gate on first run).
- */
-double
-baseline200Mean(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return std::nan("");
-    char line[512];
-    double mean = std::nan("");
-    while (std::fgets(line, sizeof(line), f)) {
-        if (!std::strstr(line, "\"servers\": 200"))
-            continue;
-        const char *key = std::strstr(line, "\"incremental_mean_s\":");
-        if (key)
-            mean = std::atof(key + std::strlen("\"incremental_mean_s\":"));
-        break;
-    }
-    std::fclose(f);
-    return mean;
-}
-
 int
 runDecisionPath(const std::string &out_path,
                 const std::string &baseline_path, double max_regression)
@@ -435,7 +389,7 @@ runDecisionPath(const std::string &out_path,
     double mean200 = 0.0;
     for (size_t s = 0; s < 3; ++s) {
         int servers = kSizes[s];
-        auto stream = makeStream(clusterOfSize(servers).catalog(),
+        auto stream = makeStream(bench::clusterOfSize(servers).catalog(),
                                  kPlacements, 97 + uint64_t(servers));
         // Min-of-means over repetitions: robust to CI noise, and the
         // equivalence check runs on the first repetition's decisions.
@@ -476,7 +430,9 @@ runDecisionPath(const std::string &out_path,
         return 1;
     }
     if (!baseline_path.empty()) {
-        double base = baseline200Mean(baseline_path);
+        double base = bench::rowNumber(
+            bench::baselineRow(baseline_path, {"\"servers\": 200"}),
+            "incremental_mean_s");
         if (std::isnan(base)) {
             std::printf("no usable baseline at %s; skipping the "
                         "regression gate\n",

@@ -61,22 +61,6 @@ using namespace quasar;
 namespace
 {
 
-/** The paper's testbeds, scaled up by replicating the EC2 mix. */
-sim::Cluster
-clusterOfSize(int servers)
-{
-    if (servers == 40)
-        return sim::Cluster::localCluster();
-    if (servers == 200)
-        return sim::Cluster::ec2Cluster();
-    auto catalog = sim::ec2Platforms();
-    std::vector<int> counts = {6, 6, 8, 14, 6, 8, 16, 30,
-                               8, 30, 8, 16, 30, 14};
-    for (int &c : counts)
-        c *= servers / 200;
-    return sim::Cluster(catalog, counts);
-}
-
 /** The flash crowd hits at 450 s; QoS is also scored over the crowd
  *  plus its recovery tail, where overload control earns its keep. */
 constexpr double kCrowdStart = 450.0;
@@ -194,7 +178,7 @@ LegMetrics
 runLeg(int servers, double horizon_s, const churn::ChurnConfig &ccfg,
        bool controller, bool full_rescan)
 {
-    sim::Cluster cluster = clusterOfSize(servers);
+    sim::Cluster cluster = bench::clusterOfSize(servers);
     workload::WorkloadRegistry registry;
 
     core::QuasarConfig qcfg;
@@ -300,31 +284,6 @@ runLeg(int servers, double horizon_s, const churn::ChurnConfig &ccfg,
     m.placement_hash = hash;
     m.decision_hash = ctl.decisionHash();
     return m;
-}
-
-/** qos_violation_crowd of the named leg in a committed baseline. */
-double
-baselineQos(const std::string &path, const char *leg)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return std::nan("");
-    char line[2048];
-    char want[64];
-    std::snprintf(want, sizeof(want), "\"leg\": \"%s\"", leg);
-    double qos = std::nan("");
-    while (std::fgets(line, sizeof(line), f)) {
-        if (!std::strstr(line, want))
-            continue;
-        const char *key =
-            std::strstr(line, "\"qos_violation_crowd\":");
-        if (key)
-            qos = std::atof(key +
-                            std::strlen("\"qos_violation_crowd\":"));
-        break;
-    }
-    std::fclose(f);
-    return qos;
 }
 
 void
@@ -534,7 +493,9 @@ runOverloadBench(bool smoke, const std::string &out_path,
                     on.shed_fraction);
     }
     if (!baseline_path.empty()) {
-        double base = baselineQos(baseline_path, "on-dirty");
+        double base = bench::rowNumber(
+            bench::baselineRow(baseline_path, {"\"leg\": \"on-dirty\""}),
+            "qos_violation_crowd");
         if (std::isnan(base)) {
             std::printf("no usable baseline at %s; skipping the "
                         "regression gate\n",

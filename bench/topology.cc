@@ -338,31 +338,6 @@ runBandwidthLeg(int servers, bool aware, bool full_rescan)
     return m;
 }
 
-/** qos_violation_rate of the named leg in a committed baseline. */
-double
-baselineQos(const std::string &path, const char *leg)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return std::nan("");
-    char line[2048];
-    char want[64];
-    std::snprintf(want, sizeof(want), "\"leg\": \"%s\"", leg);
-    double qos = std::nan("");
-    while (std::fgets(line, sizeof(line), f)) {
-        if (!std::strstr(line, want))
-            continue;
-        const char *key =
-            std::strstr(line, "\"qos_violation_rate\":");
-        if (key)
-            qos = std::atof(key +
-                            std::strlen("\"qos_violation_rate\":"));
-        break;
-    }
-    std::fclose(f);
-    return qos;
-}
-
 void
 printLeg(const char *name, const LegMetrics &m)
 {
@@ -483,7 +458,9 @@ runTopologyBench(bool smoke, const std::string &out_path,
             aware.lc_socket0_core_frac, blind.lc_socket0_core_frac);
     }
     if (!baseline_path.empty()) {
-        double base = baselineQos(baseline_path, "thrash-aware");
+        double base = bench::rowNumber(
+            bench::baselineRow(baseline_path, {"\"leg\": \"thrash-aware\""}),
+            "qos_violation_rate");
         if (std::isnan(base)) {
             std::printf("no usable baseline at %s; skipping the "
                         "regression gate\n",

@@ -55,22 +55,6 @@ using namespace quasar;
 namespace
 {
 
-/** The paper's testbeds, scaled up by replicating the EC2 mix. */
-sim::Cluster
-clusterOfSize(int servers)
-{
-    if (servers == 40)
-        return sim::Cluster::localCluster();
-    if (servers == 200)
-        return sim::Cluster::ec2Cluster();
-    auto catalog = sim::ec2Platforms();
-    std::vector<int> counts = {6, 6, 8, 14, 6, 8, 16, 30,
-                               8, 30, 8, 16, 30, 14};
-    for (int &c : counts)
-        c *= servers / 200;
-    return sim::Cluster(catalog, counts);
-}
-
 const char *
 modeName(bool full)
 {
@@ -130,7 +114,7 @@ runStream(int servers, double horizon_s, bool full,
           const trace::MappedTrace *mapped,
           const churn::ChurnConfig *synth_cfg)
 {
-    sim::Cluster cluster = clusterOfSize(servers);
+    sim::Cluster cluster = bench::clusterOfSize(servers);
     workload::WorkloadRegistry registry;
 
     core::QuasarConfig qcfg;

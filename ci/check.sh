@@ -179,9 +179,8 @@ cmake --build build-verify -j "$JOBS" --target quasar_tests
 # AdmissionQueue suites run the shed/brownout/autoscale paths
 # (including the 20-seed replay sweep) under the same sweeps; the
 # Topology*/Socket* suites cover the NUMA descriptor, per-socket
-# ledger conservation (incl. the desynced-ledger death test, which
-# only arms in this QUASAR_VERIFY build), socket selection, and the
-# flat-topology replay-equivalence sweep.
+# pressure conservation, socket selection, and the flat-topology
+# replay-equivalence sweep.
 ./build-verify/tests/quasar_tests \
     --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnClosedLoop.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*'
 

@@ -8,6 +8,19 @@ namespace quasar::baselines
 
 using workload::Workload;
 
+namespace
+{
+
+constexpr double kScaleOutThreshold = 0.70; ///< add instance above this rho.
+constexpr double kScaleInThreshold = 0.25;  ///< remove instance below.
+constexpr int kMinInstances = 1;
+constexpr int kInstanceCores = 8;
+/** Migration bandwidth for stateful scale-out, GB/s. */
+constexpr double kMigrationGbps = 1.0;
+constexpr double kMigrationFactor = 0.85;
+
+} // namespace
+
 AutoScaleManager::AutoScaleManager(sim::Cluster &cluster,
                                    workload::WorkloadRegistry &registry,
                                    AutoScaleConfig cfg, uint64_t seed)
@@ -40,7 +53,7 @@ AutoScaleManager::addInstance(Workload &w, double t)
     std::sort(order.begin(), order.end());
     for (const auto &[load, sid] : order) {
         sim::Server &srv = cluster_.server(sid);
-        int cores = std::min(cfg_.instance_cores, srv.platform().cores);
+        int cores = std::min(kInstanceCores, srv.platform().cores);
         double mem = std::min(cfg_.instance_memory_gb,
                               srv.platform().memory_gb);
         if (!srv.canFit(cores, mem, w.storage_gb_per_node))
@@ -59,8 +72,8 @@ AutoScaleManager::addInstance(Workload &w, double t)
             size_t n = cluster_.serversHosting(w.id).size();
             double moved = w.state_gb / double(std::max<size_t>(n, 1));
             w.degraded_until =
-                t + moved / cfg_.migration_gbps;
-            w.degraded_factor = cfg_.migration_factor;
+                t + moved / kMigrationGbps;
+            w.degraded_factor = kMigrationFactor;
         }
         return true;
     }
@@ -71,7 +84,7 @@ void
 AutoScaleManager::removeInstance(Workload &w)
 {
     auto hosting = cluster_.serversHosting(w.id);
-    if (int(hosting.size()) <= cfg_.min_instances)
+    if (int(hosting.size()) <= kMinInstances)
         return;
     cluster_.server(hosting.back()).remove(w.id);
 }
@@ -82,7 +95,7 @@ AutoScaleManager::onSubmit(WorkloadId id, double t)
     Workload &w = registry_.get(id);
     if (workload::isLatencyCritical(w.type)) {
         bool ok = true;
-        for (int i = 0; i < cfg_.min_instances && ok; ++i)
+        for (int i = 0; i < kMinInstances && ok; ++i)
             ok = addInstance(w, t);
         if (!ok)
             queue_.push_back(id);
@@ -130,7 +143,7 @@ AutoScaleManager::onTick(double t)
         if (hosting.empty())
             continue;
         double rho = observedRho(w, t);
-        if (rho > cfg_.scale_out_threshold) {
+        if (rho > kScaleOutThreshold) {
             if (++hot_streak_[id] >= cfg_.hot_ticks &&
                 int(hosting.size()) < cfg_.max_instances) {
                 addInstance(w, t);
@@ -138,7 +151,7 @@ AutoScaleManager::onTick(double t)
             }
         } else {
             hot_streak_[id] = 0;
-            if (rho < cfg_.scale_in_threshold)
+            if (rho < kScaleInThreshold)
                 removeInstance(w);
         }
     }
@@ -168,7 +181,7 @@ AutoScaleManager::onServerDown(ServerId,
         bool ok;
         if (workload::isLatencyCritical(w.type)) {
             ok = true;
-            for (int i = 0; i < cfg_.min_instances && ok; ++i)
+            for (int i = 0; i < kMinInstances && ok; ++i)
                 ok = addInstance(w, t);
         } else {
             Reservation res =

@@ -24,17 +24,10 @@ namespace quasar::baselines
 /** Auto-scaling policy knobs. */
 struct AutoScaleConfig
 {
-    double scale_out_threshold = 0.70; ///< add instance above this rho.
-    double scale_in_threshold = 0.25;  ///< remove instance below.
-    int min_instances = 1;
     int max_instances = 8;
-    int instance_cores = 8;
     double instance_memory_gb = 16.0;
     /** Consecutive hot ticks required before scaling out. */
     int hot_ticks = 2;
-    /** Migration bandwidth for stateful scale-out, GB/s. */
-    double migration_gbps = 1.0;
-    double migration_factor = 0.85;
 };
 
 /** The auto-scaling manager. */

@@ -41,18 +41,11 @@ namespace quasar::core
 /** Classification-engine knobs. */
 struct ClassifierConfig
 {
-    linalg::PqConfig pq{.rank = 8,
-                        .learning_rate = 0.05,
-                        .regularization = 0.03,
-                        .max_epochs = 300,
-                        .tolerance = 1e-6,
-                        .seed = 42};
+    linalg::PqConfig pq{.rank = 8, .max_epochs = 300, .seed = 42};
     /** Online history rows kept per matrix (oldest evicted). */
     size_t max_history_rows = 300;
     /** Use the single exhaustive classification (ablation mode). */
     bool exhaustive = false;
-    /** Degradation slope assumed beyond a tolerated threshold. */
-    double slope_guess = 1.5;
 };
 
 /** The four (or one, in exhaustive mode) CF classifications. */

@@ -13,6 +13,43 @@ using workload::TargetKind;
 using workload::Workload;
 using workload::WorkloadType;
 
+namespace
+{
+
+/** Fraction of active workloads probed per proactive phase check. */
+constexpr double kProactiveFraction = 0.2;
+/** Feedback when |measured/predicted - 1| exceeds this. */
+constexpr double kFeedbackDeviation = 0.15;
+/** Reclassify+reschedule after this many failed adjustments. */
+constexpr int kUnderperfStrikes = 3;
+/** Minimum time between growth adjustments of one workload,
+ *  seconds (conservative adaptation; prevents scale-out churn). */
+constexpr double kAdjustCooldownS = 30.0;
+/** Minimum time between shrinks (lazier than growth so the
+ *  allocation does not oscillate around the target). */
+constexpr double kShrinkCooldownS = 180.0;
+/** A fresh placement must beat the current one by this factor
+ *  before a reschedule abandons held resources. */
+constexpr double kRescheduleHysteresis = 1.10;
+/** Minimum time between reclassify+reschedule attempts for one
+ *  workload (each costs a fresh profiling pass). */
+constexpr double kRescheduleCooldownS = 300.0;
+/** Fraction of required perf below which a workload queues. */
+constexpr double kAdmitFraction = 0.5;
+/** Migration bandwidth for stateful scale-out, GB/s. */
+constexpr double kMigrationGbps = 1.0;
+/** Capacity multiplier during a migration window. */
+constexpr double kMigrationFactor = 0.9;
+/**
+ * Retry backoff for workloads displaced by machine failures that
+ * cannot be re-placed immediately (capacity temporarily gone):
+ * first retry after kFailureBackoffS, doubling up to the max.
+ */
+constexpr double kFailureBackoffS = 20.0;
+constexpr double kFailureBackoffMaxS = 160.0;
+
+} // namespace
+
 QuasarManager::QuasarManager(sim::Cluster &cluster,
                              workload::WorkloadRegistry &registry,
                              QuasarConfig cfg)
@@ -99,11 +136,11 @@ QuasarManager::requiredPerf(const Workload &w, double t) const
         // little ahead, so ramps are absorbed instead of chased.
         double offered = w.offeredQps(t);
         if (cfg_.predict_lead_s > 0.0) {
-            auto it = predictors_.find(w.id);
-            if (it != predictors_.end() && it->second.warmedUp())
+            auto it = runtime_.find(w.id);
+            if (it != runtime_.end() && it->second.predictor.warmedUp())
                 offered = std::max(
                     offered,
-                    it->second.predict(t + cfg_.predict_lead_s));
+                    it->second.predictor.predict(t + cfg_.predict_lead_s));
         }
         offered = std::max(offered, 0.05 * w.target.qps);
         double headroom = -std::log(0.01) / w.target.latency_qos_s;
@@ -177,20 +214,15 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
     // Re-placement after a failure spreads latency-critical replicas
     // across fault zones so one rack/PDU cannot hold the whole
     // service again (Sec. 4.4).
+    auto rt = runtime_.find(id);
+    const bool spread_zones = rt != runtime_.end() &&
+                              rt->second.displaced_at &&
+                              workload::isLatencyCritical(w.type);
     std::optional<Allocation> alloc;
     {
         stats::ScopedTimer timer(stats_.schedule_time);
-        if (cfg_.spread_zones_on_recovery && displaced_at_.contains(id) &&
-            workload::isLatencyCritical(w.type)) {
-            SchedulerConfig spread_cfg = scheduler_.config();
-            spread_cfg.spread_fault_zones = true;
-            GreedyScheduler spread(cluster_, spread_cfg, &registry_);
-            alloc = spread.allocate(w, est, required, estimateLookup(),
-                                    !w.best_effort);
-        } else {
-            alloc = scheduler_.allocate(w, est, required,
-                                        estimateLookup(), !w.best_effort);
-        }
+        alloc = scheduler_.allocate(w, est, required, estimateLookup(),
+                                    !w.best_effort, spread_zones);
     }
     // Place the best allocation available and let monitoring adjust
     // it ("get as close as possible to the constraint", Sec. 3.3);
@@ -200,7 +232,7 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
     bool ok = alloc.has_value() &&
               (!w.best_effort ||
                alloc->predicted_perf >=
-                   cfg_.admit_fraction * required);
+                   kAdmitFraction * required);
     if (!ok) {
         if (requeue_on_fail)
             admission_.enqueue(id, t);
@@ -216,11 +248,11 @@ QuasarManager::trySchedule(WorkloadId id, double t, bool requeue_on_fail)
 void
 QuasarManager::noteRecovered(WorkloadId id, double t)
 {
-    auto it = displaced_at_.find(id);
-    if (it == displaced_at_.end())
+    auto it = runtime_.find(id);
+    if (it == runtime_.end() || !it->second.displaced_at)
         return;
-    recovery_times_.add(t - it->second);
-    displaced_at_.erase(it);
+    recovery_times_.add(t - *it->second.displaced_at);
+    it->second.displaced_at.reset();
     ++stats_.recoveries;
 }
 
@@ -428,12 +460,12 @@ QuasarManager::tryScaleOut(Workload &w, const WorkloadEstimate &est,
         double moved_fraction = double(filtered.nodes.size()) /
                                 double(std::max<size_t>(new_nodes, 1));
         double moved_gb = w.state_gb * moved_fraction;
-        double duration = moved_gb / cfg_.migration_gbps;
+        double duration = moved_gb / kMigrationGbps;
         w.degraded_until = t + duration;
         // Only the moving shards are unavailable: the penalty scales
         // with the fraction of state in flight.
         w.degraded_factor =
-            1.0 - (1.0 - cfg_.migration_factor) * moved_fraction;
+            1.0 - (1.0 - kMigrationFactor) * moved_fraction;
     }
     return true;
 }
@@ -547,7 +579,7 @@ QuasarManager::adjust(Workload &w, double t)
         double measured = monitor_.measureAbsolute(w, t);
         if (predicted > 0.0 &&
             std::fabs(measured / predicted - 1.0) >
-                cfg_.feedback_deviation) {
+                kFeedbackDeviation) {
             // Damped correction: transient interference shows up in
             // the measurement, so only half the (log) deviation is
             // attributed to misclassification.
@@ -582,11 +614,11 @@ QuasarManager::adjust(Workload &w, double t)
         }
     }
 
-    int &strikes = strikes_[w.id];
-    ++strikes;
+    Runtime &rt = runtime_[w.id];
+    ++rt.strikes;
     // A single below-threshold reading can be measurement noise; act
     // only when the miss persists (conservative adaptation).
-    if (strikes < 2)
+    if (rt.strikes < 2)
         return;
 
     // Conservative adjustment: partition away interference first (no
@@ -597,17 +629,15 @@ QuasarManager::adjust(Workload &w, double t)
     if (cfg_.resource_partitioning && measured_norm > 0.75 &&
         tryPartition(w, est))
         return;
-    if (tryScaleUp(w, est, required * scheduler_.config().headroom, t))
+    if (tryScaleUp(w, est, required * kHeadroom, t))
         return;
     if (tryScaleOut(w, est, required, t))
         return;
 
-    if (strikes >= cfg_.underperf_strikes) {
-        strikes = 0;
-        auto last = last_reschedule_.find(w.id);
-        if (last == last_reschedule_.end() ||
-            t - last->second >= cfg_.reschedule_cooldown_s) {
-            last_reschedule_[w.id] = t;
+    if (rt.strikes >= kUnderperfStrikes) {
+        rt.strikes = 0;
+        if (t - rt.last_reschedule >= kRescheduleCooldownS) {
+            rt.last_reschedule = t;
             reclassifyAndReschedule(w, t);
         }
     }
@@ -658,7 +688,7 @@ QuasarManager::reclassifyAndReschedule(Workload &w, double t)
                                      estimateLookup(), !w.best_effort);
     bool better = alloc.has_value() &&
                   (alloc->predicted_perf >=
-                       cfg_.reschedule_hysteresis * old_predicted ||
+                       kRescheduleHysteresis * old_predicted ||
                    old_shares.empty());
     if (better) {
         applyAllocation(w, *alloc, t);
@@ -733,11 +763,7 @@ QuasarManager::shedWorkload(Workload &w, double t)
     ++stats_.shed;
     admission_.abandon(w.id);
     cluster_.removeEverywhere(w.id);
-    strikes_.erase(w.id);
-    predictors_.erase(w.id);
-    last_adjust_.erase(w.id);
-    last_reschedule_.erase(w.id);
-    displaced_at_.erase(w.id);
+    runtime_.erase(w.id);
     brownout_saved_.erase(w.id);
     overload_.forget(w.id);
 }
@@ -759,11 +785,10 @@ QuasarManager::applyBrownout(double t)
         for (ServerId sid : cluster_.serversHosting(id)) {
             sim::Server &srv = cluster_.server(sid);
             const sim::TaskShare *share = srv.share(id);
-            if (!share || share->cores <= cfg_.overload.brownout_cores)
+            if (!share || share->cores <= kBrownoutCores)
                 continue;
             BrownoutShare bs{sid, share->cores, share->memory_gb};
-            if (srv.resize(id, cfg_.overload.brownout_cores,
-                           share->memory_gb))
+            if (srv.resize(id, kBrownoutCores, share->memory_gb))
                 saved.push_back(bs);
         }
         if (!saved.empty()) {
@@ -831,7 +856,7 @@ QuasarManager::autoscaleServices(double t)
         // A raised requirement should act this tick, not after the
         // adjustment cooldown from some earlier decision expires.
         if (boost > before)
-            last_adjust_.erase(id);
+            runtime_[id].last_adjust = Runtime::kNever;
     }
 }
 
@@ -867,30 +892,27 @@ QuasarManager::onTick(double t)
         Workload &w = registry_.get(id);
         if (workload::isLatencyCritical(w.type) &&
             cfg_.predict_lead_s > 0.0)
-            predictors_[id].observe(t, w.offeredQps(t));
+            runtime_[id].predictor.observe(t, w.offeredQps(t));
         if (cluster_.serversHosting(id).empty())
             continue;
         Alert alert = monitor_.check(w, t);
+        Runtime &rt = runtime_[id];
         if (alert == Alert::Underperforming && !w.best_effort) {
-            auto last = last_adjust_.find(id);
-            if (last == last_adjust_.end() ||
-                t - last->second >= cfg_.adjust_cooldown_s) {
-                last_adjust_[id] = t;
+            if (t - rt.last_adjust >= kAdjustCooldownS) {
+                rt.last_adjust = t;
                 adjust(w, t);
             }
         } else if (alert == Alert::Overprovisioned) {
-            auto last = last_adjust_.find(id);
-            if (last == last_adjust_.end() ||
-                t - last->second >= cfg_.shrink_cooldown_s) {
-                last_adjust_[id] = t;
+            if (t - rt.last_adjust >= kShrinkCooldownS) {
+                rt.last_adjust = t;
                 auto est_it = estimates_.find(id);
                 if (est_it != estimates_.end())
                     shrinkAllocation(w, est_it->second,
                                      requiredPerf(w, t), t);
             }
-            strikes_[id] = 0;
+            rt.strikes = 0;
         } else {
-            strikes_[id] = 0;
+            rt.strikes = 0;
         }
     }
 
@@ -899,7 +921,7 @@ QuasarManager::onTick(double t)
         t - last_proactive_ >= cfg_.proactive_interval_s) {
         last_proactive_ = t;
         for (WorkloadId id : registry_.active()) {
-            if (!rng_.chance(cfg_.proactive_fraction))
+            if (!rng_.chance(kProactiveFraction))
                 continue;
             Workload &w = registry_.get(id);
             if (cluster_.serversHosting(id).empty())
@@ -926,11 +948,7 @@ QuasarManager::onTick(double t)
 void
 QuasarManager::onCompletion(WorkloadId id, double t)
 {
-    strikes_.erase(id);
-    predictors_.erase(id);
-    last_adjust_.erase(id);
-    last_reschedule_.erase(id);
-    displaced_at_.erase(id);
+    runtime_.erase(id);
     brownout_saved_.erase(id);
     overload_.forget(id);
     admission_.abandon(id);
@@ -949,7 +967,9 @@ QuasarManager::onServerDown(ServerId,
         if (w.completed || w.killed)
             continue;
         ++stats_.tasks_displaced;
-        displaced_at_.emplace(id, t);
+        std::optional<double> &at = runtime_[id].displaced_at;
+        if (!at)
+            at = t;
         replaceDisplaced(id, t);
     }
 }
@@ -983,8 +1003,8 @@ QuasarManager::replaceDisplaced(WorkloadId id, double t)
         return;
     // Capacity is temporarily gone (e.g. mid zone outage): park with
     // exponential backoff instead of hammering the scheduler.
-    admission_.enqueueWithBackoff(id, t, cfg_.failure_backoff_s,
-                                  cfg_.failure_backoff_max_s);
+    admission_.enqueueWithBackoff(id, t, kFailureBackoffS,
+                                  kFailureBackoffMaxS);
     ++stats_.queued;
 }
 
@@ -1008,9 +1028,9 @@ QuasarManager::onServerDegraded(ServerId sid, double, double t)
         Workload &w = registry_.get(share.workload);
         if (w.best_effort || w.completed)
             continue;
-        strikes_[share.workload] =
-            std::max(strikes_[share.workload], 1);
-        last_adjust_.erase(share.workload);
+        Runtime &rt = runtime_[share.workload];
+        rt.strikes = std::max(rt.strikes, 1);
+        rt.last_adjust = Runtime::kNever;
     }
 }
 

@@ -7,6 +7,26 @@
 namespace quasar::core
 {
 
+namespace
+{
+
+/**
+ * Hysteresis band: a downgrade requires the metrics below
+ * enter_threshold * (1 - kHysteresis), not merely below the entry
+ * threshold, so hovering at the band edge cannot flap the state.
+ */
+constexpr double kHysteresis = 0.10;
+
+/** Normalized-performance setpoint (1.0 = target exactly met). */
+constexpr double kSloSetpoint = 1.0;
+/** No control action while |error| is inside the deadband. */
+constexpr double kDeadband = 0.05;
+/** PI gains. */
+constexpr double kKp = 0.8;
+constexpr double kKi = 0.05;
+
+} // namespace
+
 const char *
 overloadStateName(OverloadState s)
 {
@@ -42,7 +62,7 @@ OverloadDetector::clearsExitBand(OverloadState level, double util,
 {
     // Exit thresholds sit a hysteresis band below the thresholds that
     // entered `level`: to leave it, BOTH probes must clear the band.
-    double band = 1.0 - cfg_.hysteresis;
+    double band = 1.0 - kHysteresis;
     double util_enter = level == OverloadState::Overloaded
                             ? cfg_.util_overloaded
                             : cfg_.util_pressured;
@@ -85,34 +105,32 @@ OverloadDetector::update(double t, double util, size_t depth)
 double
 ReactiveStepPolicy::update(double error, double, double current)
 {
-    if (error > -cfg_.deadband && error < cfg_.deadband)
+    if (error > -kDeadband && error < kDeadband)
         return current;
-    double next =
-        current + (error > 0.0 ? cfg_.reactive_step : -cfg_.reactive_step);
-    return std::clamp(next, cfg_.boost_min, cfg_.boost_max);
+    double next = current + (error > 0.0 ? kReactiveStep : -kReactiveStep);
+    return std::clamp(next, kBoostMin, kBoostMax);
 }
 
 double
 PiPolicy::update(double error, double dt, double current)
 {
     (void)current;
-    if (error > -cfg_.deadband && error < cfg_.deadband)
+    if (error > -kDeadband && error < kDeadband)
         error = 0.0; // deadband: no action, no integration
     // Conditional integration (anti-windup): freeze the integral
     // while the unsaturated output is already past the rail in the
     // error's direction, so a long overload episode cannot wind it
     // up; integration resumes the moment the error reverses.
-    double unsat = 1.0 + cfg_.kp * error + integral_;
-    bool winding_hi = unsat > cfg_.boost_max && error > 0.0;
-    bool winding_lo = unsat < cfg_.boost_min && error < 0.0;
+    double unsat = 1.0 + kKp * error + integral_;
+    bool winding_hi = unsat > kBoostMax && error > 0.0;
+    bool winding_lo = unsat < kBoostMin && error < 0.0;
     if (!winding_hi && !winding_lo)
-        integral_ += cfg_.ki * error * dt;
+        integral_ += kKi * error * dt;
     // Belt and braces: the integral alone can never demand an output
     // outside the reachable range.
-    integral_ = std::clamp(integral_, cfg_.boost_min - 1.0,
-                           cfg_.boost_max - 1.0);
-    double out = 1.0 + cfg_.kp * error + integral_;
-    return std::clamp(out, cfg_.boost_min, cfg_.boost_max);
+    integral_ = std::clamp(integral_, kBoostMin - 1.0, kBoostMax - 1.0);
+    double out = 1.0 + kKp * error + integral_;
+    return std::clamp(out, kBoostMin, kBoostMax);
 }
 
 std::unique_ptr<ScalingPolicy>
@@ -122,11 +140,11 @@ makeScalingPolicy(const OverloadConfig &cfg)
     case ScalingPolicyKind::None:
         return nullptr;
     case ScalingPolicyKind::Reactive:
-        return std::make_unique<ReactiveStepPolicy>(cfg);
+        return std::make_unique<ReactiveStepPolicy>();
     case ScalingPolicyKind::Pi:
         break;
     }
-    return std::make_unique<PiPolicy>(cfg);
+    return std::make_unique<PiPolicy>();
 }
 
 OverloadController::OverloadController(const OverloadConfig &cfg)
@@ -260,7 +278,7 @@ OverloadController::updateBoost(WorkloadId id, double measured_norm,
     }
     double dt = sc.last_update >= 0.0 ? t - sc.last_update
                                       : cfg_.scale_interval_s;
-    double error = cfg_.slo_setpoint - measured_norm;
+    double error = kSloSetpoint - measured_norm;
     sc.boost = sc.policy->update(error, dt, sc.boost);
     sc.last_update = t;
     ++counters_.autoscale_updates;

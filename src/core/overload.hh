@@ -91,12 +91,6 @@ struct OverloadConfig
     /** Admission-queue depth entering Pressured / Overloaded. */
     size_t depth_pressured = 24;
     size_t depth_overloaded = 96;
-    /**
-     * Hysteresis band: a downgrade requires the metrics below
-     * enter_threshold * (1 - hysteresis), not merely below the entry
-     * threshold, so hovering at the band edge cannot flap the state.
-     */
-    double hysteresis = 0.10;
     /** Minimum dwell in a state before any downgrade. */
     double min_dwell_s = 30.0;
     /// @}
@@ -125,28 +119,27 @@ struct OverloadConfig
     /** @name Brownout */
     /// @{
     bool brownout = true;
-    /** Cores a browned-out best-effort share is reduced to. */
-    int brownout_cores = 1;
     /// @}
 
     /** @name Service autoscaler */
     /// @{
     ScalingPolicyKind policy = ScalingPolicyKind::Pi;
-    /** Normalized-performance setpoint (1.0 = target exactly met). */
-    double slo_setpoint = 1.0;
-    /** No control action while |error| is inside the deadband. */
-    double deadband = 0.05;
-    double kp = 0.8;
-    double ki = 0.05;
-    /** Reactive policy: boost step per update, in boost units. */
-    double reactive_step = 0.25;
-    /** Output clamp: boost multiplier on required performance. */
-    double boost_min = 1.0;
-    double boost_max = 3.0;
     /** Controller period (updates are no denser than this). */
     double scale_interval_s = 30.0;
     /// @}
 };
+
+/** Cores a browned-out best-effort share is reduced to. */
+inline constexpr int kBrownoutCores = 1;
+
+/** @name Scaling-policy constants */
+/// @{
+/** Reactive policy: boost step per update, in boost units. */
+inline constexpr double kReactiveStep = 0.25;
+/** Output clamp: boost multiplier on required performance. */
+inline constexpr double kBoostMin = 1.0;
+inline constexpr double kBoostMax = 3.0;
+/// @}
 
 /**
  * Hysteresis + dwell state machine over the utilization and depth
@@ -201,28 +194,24 @@ class ScalingPolicy
      *        (positive = underperforming).
      * @param dt seconds since the previous update.
      * @param current the boost currently in effect.
-     * @return the new boost, already clamped to the config's range.
+     * @return the new boost, already clamped to [kBoostMin, kBoostMax].
      */
     virtual double update(double error, double dt, double current) = 0;
 
     virtual void reset() = 0;
 };
 
-/** Fixed-step reactive policy: +/- reactive_step toward the target. */
+/** Fixed-step reactive policy: +/- kReactiveStep toward the target. */
 class ReactiveStepPolicy : public ScalingPolicy
 {
   public:
-    explicit ReactiveStepPolicy(const OverloadConfig &cfg) : cfg_(cfg) {}
     double update(double error, double dt, double current) override;
     void reset() override {}
-
-  private:
-    OverloadConfig cfg_;
 };
 
 /**
- * PI controller with anti-windup: boost = clamp(1 + kp*e + I), where
- * the integral term I accumulates ki*e*dt only while the output is
+ * PI controller with anti-windup: boost = clamp(1 + kKp*e + I), where
+ * the integral term I accumulates kKi*e*dt only while the output is
  * unsaturated or the error drives it back off the rail (conditional
  * integration), and is itself clamped to the reachable output range —
  * a long saturation episode therefore cannot wind the integral up,
@@ -231,14 +220,12 @@ class ReactiveStepPolicy : public ScalingPolicy
 class PiPolicy : public ScalingPolicy
 {
   public:
-    explicit PiPolicy(const OverloadConfig &cfg) : cfg_(cfg) {}
     double update(double error, double dt, double current) override;
     void reset() override { integral_ = 0.0; }
 
     double integral() const { return integral_; }
 
   private:
-    OverloadConfig cfg_;
     double integral_ = 0.0;
 };
 

@@ -45,6 +45,11 @@ Allocation::totalMemoryGb() const
 namespace
 {
 
+/** Max nodes per workload. */
+constexpr int kMaxNodes = 100;
+/** Keep per-node configs within this fraction of the best one. */
+constexpr double kNodePerfSlack = 0.95;
+
 struct Evictable
 {
     int cores = 0;
@@ -837,7 +842,7 @@ GreedyScheduler::pickNodeConfig(const sim::Server &srv, const Workload &w,
         // Scale-out-first ablation: spread small slices across nodes.
         goal = std::min(goal, 0.35 * best_perf);
     }
-    double threshold = cfg_.node_perf_slack * goal;
+    double threshold = kNodePerfSlack * goal;
 
     bool found = false;
     for (size_t c = 0; c < est.scale_up_grid.size(); ++c) {
@@ -919,10 +924,10 @@ std::optional<Allocation>
 GreedyScheduler::allocate(const Workload &w, const WorkloadEstimate &est,
                           double required_perf,
                           const EstimateLookup &estimates,
-                          bool may_evict) const
+                          bool may_evict, bool spread_zones) const
 {
-    std::optional<Allocation> decision =
-        allocateImpl(w, est, required_perf, estimates, may_evict);
+    std::optional<Allocation> decision = allocateImpl(
+        w, est, required_perf, estimates, may_evict, spread_zones);
 #ifdef QUASAR_VERIFY
     // Shadow scheduler oracle: every incremental-mode decision is
     // re-derived through the legacy full_rescan path; any divergence
@@ -931,7 +936,7 @@ GreedyScheduler::allocate(const Workload &w, const WorkloadEstimate &est,
     if (!cfg_.full_rescan)
         verify::shadowCheckAllocation(cluster_, cfg_, registry_, w,
                                       est, required_perf, estimates,
-                                      may_evict, decision);
+                                      may_evict, spread_zones, decision);
 #endif
     return decision;
 }
@@ -941,13 +946,13 @@ GreedyScheduler::allocateImpl(const Workload &w,
                               const WorkloadEstimate &est,
                               double required_perf,
                               const EstimateLookup &estimates,
-                              bool may_evict) const
+                              bool may_evict, bool spread_zones) const
 {
     assert(est.scale_up_grid.size() == est.scale_up_perf.size());
-    const double target = std::max(required_perf, 1e-9) * cfg_.headroom;
+    const double target = std::max(required_perf, 1e-9) * kHeadroom;
     const int max_nodes =
         workload::isDistributed(w.type)
-            ? std::min<int>(cfg_.max_nodes, int(cluster_.size()))
+            ? std::min<int>(kMaxNodes, int(cluster_.size()))
             : 1;
 
     // Rank candidate servers by decreasing quality. The full_rescan
@@ -1033,7 +1038,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
     // relaxes the constraint if the target is still unmet. A server
     // already chosen in pass one is never picked again (each candidate
     // contributes at most one node per allocation).
-    const int passes = cfg_.spread_fault_zones ? 2 : 1;
+    const int passes = spread_zones ? 2 : 1;
     bool done = false;
     for (int pass = 0; pass < passes && !done; ++pass) {
         for (size_t i = 0;; ++i) {
@@ -1060,7 +1065,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
                 already_chosen = already_chosen || n.server == sid;
             if (already_chosen)
                 continue;
-            if (cfg_.spread_fault_zones && pass == 0 &&
+            if (spread_zones && pass == 0 &&
                 zone_used[size_t(srv.faultZone())])
                 continue; // first pass: fresh zones only
             // Per-node perf needed to close the gap if this node joins.
@@ -1220,7 +1225,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
     alloc.knobs = chosen_knobs;
     alloc.predicted_perf = est.jobPerf(node_perfs);
     alloc.degraded = alloc.predicted_perf + 1e-9 <
-                     required_perf * cfg_.headroom * cfg_.node_perf_slack;
+                     required_perf * kHeadroom * kNodePerfSlack;
     return alloc;
 }
 

@@ -92,19 +92,16 @@ struct Allocation
     double totalMemoryGb() const;
 };
 
+/** Multiplier on the target so small estimate errors don't miss. */
+inline constexpr double kHeadroom = 1.1;
+
 /** Scheduler policy knobs (ablations flagged in DESIGN.md). */
 struct SchedulerConfig
 {
     /** Pack per-node resources before adding nodes (paper default). */
     bool scale_up_first = true;
-    /** Multiplier on the target so small estimate errors don't miss. */
-    double headroom = 1.1;
-    /** Max nodes per workload. */
-    int max_nodes = 100;
     /** Assumed degradation slope beyond tolerated thresholds. */
     double slope_guess = 1.5;
-    /** Keep per-node configs within this fraction of the best one. */
-    double node_perf_slack = 0.95;
     /**
      * Stop adding nodes when a node's marginal contribution to the
      * job drops below this fraction of its standalone performance —
@@ -114,11 +111,6 @@ struct SchedulerConfig
     double min_marginal_efficiency = 0.40;
     /** Refuse placements predicted to lose residents more than this. */
     double max_resident_loss = 0.10;
-    /**
-     * Spread multi-node allocations across fault zones (Sec. 4.4):
-     * prefer servers in zones the allocation does not use yet.
-     */
-    bool spread_fault_zones = false;
     /**
      * Legacy decision path: recompute every server's contention
      * summary from the ledger and fully re-sort all candidates on
@@ -183,13 +175,17 @@ class GreedyScheduler
      * @param required_perf performance the allocation must reach.
      * @param estimates lookup for residents' estimates (may be null).
      * @param may_evict allow evicting best-effort residents.
+     * @param spread_zones spread multi-node allocations across fault
+     *        zones (Sec. 4.4): walk servers in zones the allocation
+     *        does not use yet first, then relax if the target is
+     *        still unmet.
      * @return nullopt when nothing at all can be placed; otherwise an
      *         allocation, possibly flagged degraded.
      */
     std::optional<Allocation>
     allocate(const workload::Workload &w, const WorkloadEstimate &est,
              double required_perf, const EstimateLookup &estimates,
-             bool may_evict) const;
+             bool may_evict, bool spread_zones = false) const;
 
     /**
      * Server quality score used for ranking (platform factor x
@@ -483,7 +479,8 @@ class GreedyScheduler
     std::optional<Allocation>
     allocateImpl(const workload::Workload &w,
                  const WorkloadEstimate &est, double required_perf,
-                 const EstimateLookup &estimates, bool may_evict) const;
+                 const EstimateLookup &estimates, bool may_evict,
+                 bool spread_zones) const;
 
 #ifdef QUASAR_VERIFY
     /**

@@ -12,6 +12,20 @@
 namespace quasar::linalg
 {
 
+namespace
+{
+
+/** Initial SGD step eta (decays on plateaus). */
+constexpr double kLearningRate = 0.05;
+/** SGD regularization lambda. */
+constexpr double kRegularization = 0.03;
+/** Stop when the epoch RMSE delta is below this. */
+constexpr double kTolerance = 1e-6;
+/** Ridge strength (per observation) used when folding in rows. */
+constexpr double kFoldInRegularization = 0.01;
+
+} // namespace
+
 void
 PqModel::fit(const MaskedMatrix &a)
 {
@@ -108,8 +122,8 @@ PqModel::fit(const MaskedMatrix &a)
     }
 
     stats::Rng rng(cfg_.seed);
-    double eta = cfg_.learning_rate;
-    const double lambda = cfg_.regularization;
+    double eta = kLearningRate;
+    const double lambda = kRegularization;
     double prev_rmse = std::numeric_limits<double>::infinity();
 
     for (epochs_run_ = 0; epochs_run_ < cfg_.max_epochs; ++epochs_run_) {
@@ -159,8 +173,8 @@ PqModel::fit(const MaskedMatrix &a)
         train_rmse_ = rmse;
         if (rmse > prev_rmse * 1.02)
             eta = std::max(eta * 0.7,
-                           cfg_.learning_rate / 20.0); // overshooting
-        if (std::fabs(prev_rmse - rmse) < cfg_.tolerance)
+                           kLearningRate / 20.0); // overshooting
+        if (std::fabs(prev_rmse - rmse) < kTolerance)
             break;
         prev_rmse = rmse;
     }
@@ -224,7 +238,7 @@ PqModel::foldInRow(
     std::vector<double> qu(k, 0.0);
     double bu = 0.0;
     const double lambda =
-        std::max(cfg_.fold_in_regularization, 1e-4);
+        std::max(kFoldInRegularization, 1e-4);
     const double lambda_b = 1.0;
 
     for (int iter = 0; iter < 20; ++iter) {

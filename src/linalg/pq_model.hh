@@ -28,13 +28,8 @@ namespace quasar::linalg
 struct PqConfig
 {
     size_t rank = 8;            ///< number of latent factors.
-    double learning_rate = 0.05;///< initial eta (decays on plateaus).
-    double regularization = 0.03; ///< lambda.
     size_t max_epochs = 300;    ///< SGD epoch limit.
-    double tolerance = 1e-6;    ///< stop when epoch RMSE delta is below.
     uint64_t seed = 42;         ///< entry-visit shuffle seed.
-    /** Ridge strength (per observation) used when folding in rows. */
-    double fold_in_regularization = 0.01;
 };
 
 /** Trained latent-factor model over a masked matrix. */

@@ -6,6 +6,14 @@
 namespace quasar::sim
 {
 
+namespace
+{
+
+/** Speed factor of stochastic degradations. */
+constexpr double kDegradeSpeed = 0.5;
+
+} // namespace
+
 void
 FaultInjector::crashServer(double t, ServerId sid)
 {
@@ -59,7 +67,7 @@ FaultInjector::generateStochastic()
             double repair = rng.exponential(1.0 / cfg_.mttr_s);
             if (degrade) {
                 plan_.push_back({t, FaultKind::ServerDegrade,
-                                 ServerId(s), -1, cfg_.degrade_speed});
+                                 ServerId(s), -1, kDegradeSpeed});
             } else {
                 plan_.push_back({t, FaultKind::ServerCrash, ServerId(s),
                                  -1, 0.5});

@@ -5,13 +5,13 @@
  * catalogs, times rescaled to a target horizon, population rescaled
  * to a target server count.
  *
- * Classification (documented thresholds, all configurable):
- *   - priority >= service_priority_min OR sched_class >=
- *     service_sched_class_min  -> Service (latency-critical): the
+ * Classification (documented thresholds, constants in mapper.cc):
+ *   - priority >= kServicePriorityMin OR sched_class >=
+ *     kServiceSchedClassMin  -> Service (latency-critical): the
  *     Google production band / Azure interactive VMs.
- *   - priority <= best_effort_priority_max -> BestEffort (the free
+ *   - priority <= kBestEffortPriorityMax -> BestEffort (the free
  *     band: evictable filler).
- *   - cpu demand >= analytics_cpu_min of the source's largest
+ *   - cpu demand >= kAnalyticsCpuMin of the source's largest
  *     machine -> Analytics (too big for one node: scale-out
  *     framework job).
  *   - otherwise -> SingleNode batch.
@@ -57,18 +57,6 @@ struct TraceMapperConfig
     double source_servers = 0.0;
     /** Salt for the deterministic thinning/cloning hash. */
     uint64_t seed = 1;
-
-    /** @name Classification thresholds (see file comment) */
-    /// @{
-    int service_priority_min = 9;
-    int service_sched_class_min = 3;
-    int best_effort_priority_max = 1;
-    double analytics_cpu_min = 0.35;
-    /// @}
-
-    /** Lifetimes shorter than this after rescale are clamped up, so
-     *  micro-tasks do not arrive-and-die within one tick. */
-    double min_lifetime_s = 1.0;
 };
 
 /** One replayable instance of the mapped trace. */

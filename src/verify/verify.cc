@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -107,53 +106,6 @@ sweepCluster(const sim::Cluster &cluster,
                  "capacity, duplicate share, share on a down "
                  "machine, usage above allocation, or an illegal "
                  "speed factor)");
-        // Socket-ledger conservation (DESIGN.md §13): the maintained
-        // per-socket ledger is a pure mirror of the task shares, so
-        // every socket must match a fresh ordered recompute (within a
-        // drift epsilon — the mirror accumulates add/subtract
-        // round-off by design, which is exactly why decision paths
-        // never read it), no component may run negative, and the
-        // sockets must sum to the flat raw-pressure ledger.
-        {
-            interference::IVector summed{};
-            for (int sock = 0; sock < srv.numSockets(); ++sock) {
-                const interference::IVector maintained =
-                    srv.maintainedSocketPressure(sock);
-                const interference::IVector fresh =
-                    srv.freshSocketPressure(sock);
-                for (size_t i = 0; i < interference::kNumSources;
-                     ++i) {
-                    if (maintained[i] < -1e-6)
-                        fail("socket ledger negative on server " +
-                             std::to_string(s) + " socket " +
-                             std::to_string(sock) + " source " +
-                             std::to_string(i) + ": " +
-                             std::to_string(maintained[i]));
-                    const double tol =
-                        1e-6 + 1e-6 * std::abs(fresh[i]);
-                    if (std::abs(maintained[i] - fresh[i]) > tol)
-                        fail("socket ledger desynchronized on "
-                             "server " +
-                             std::to_string(s) + " socket " +
-                             std::to_string(sock) + " source " +
-                             std::to_string(i) + ": maintained " +
-                             std::to_string(maintained[i]) +
-                             " vs fresh " + std::to_string(fresh[i]));
-                    summed[i] += maintained[i];
-                }
-            }
-            const interference::IVector raw = srv.rawPressure();
-            for (size_t i = 0; i < interference::kNumSources; ++i) {
-                const double tol = 1e-6 + 1e-6 * std::abs(raw[i]);
-                if (std::abs(summed[i] - raw[i]) > tol)
-                    fail("socket ledger sum diverges from the flat "
-                         "raw-pressure ledger on server " +
-                         std::to_string(s) + " source " +
-                         std::to_string(i) + ": sum " +
-                         std::to_string(summed[i]) + " vs raw " +
-                         std::to_string(raw[i]));
-            }
-        }
         for (const sim::TaskShare &t : srv.tasks()) {
             hosting[t.workload].push_back(ServerId(s));
             if (registry) {
@@ -279,7 +231,7 @@ shadowCheckAllocation(const sim::Cluster &cluster,
                       const core::WorkloadEstimate &est,
                       double required_perf,
                       const core::EstimateLookup &estimates,
-                      bool may_evict,
+                      bool may_evict, bool spread_zones,
                       const std::optional<core::Allocation> &primary)
 {
     ++counters().shadow_checks;
@@ -292,7 +244,8 @@ shadowCheckAllocation(const sim::Cluster &cluster,
     shadow_cfg.full_rescan = true;
     core::GreedyScheduler shadow(cluster, shadow_cfg, registry);
     std::optional<core::Allocation> expected =
-        shadow.allocate(w, est, required_perf, estimates, may_evict);
+        shadow.allocate(w, est, required_perf, estimates, may_evict,
+                        spread_zones);
 
     if (!sameAllocation(primary, expected)) {
         ++counters().shadow_divergences;

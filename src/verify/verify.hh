@@ -82,6 +82,7 @@ void shadowCheckAllocation(
     const workload::WorkloadRegistry *registry,
     const workload::Workload &w, const core::WorkloadEstimate &est,
     double required_perf, const core::EstimateLookup &estimates,
-    bool may_evict, const std::optional<core::Allocation> &primary);
+    bool may_evict, bool spread_zones,
+    const std::optional<core::Allocation> &primary);
 
 } // namespace quasar::verify

@@ -190,8 +190,7 @@ TEST(OverloadController, ShedFirstPriorityOrdering)
 
 TEST(ScalingPolicy, ReactiveStepsTowardSetpointAndClamps)
 {
-    OverloadConfig oc;
-    core::ReactiveStepPolicy p(oc);
+    core::ReactiveStepPolicy p;
     double b = 1.0;
     b = p.update(0.5, 30.0, b);
     EXPECT_DOUBLE_EQ(b, 1.25);
@@ -199,28 +198,27 @@ TEST(ScalingPolicy, ReactiveStepsTowardSetpointAndClamps)
     EXPECT_DOUBLE_EQ(b, 1.25);
     for (int i = 0; i < 20; ++i)
         b = p.update(1.0, 30.0, b);
-    EXPECT_DOUBLE_EQ(b, oc.boost_max);
+    EXPECT_DOUBLE_EQ(b, core::kBoostMax);
     b = p.update(-1.0, 30.0, b);
-    EXPECT_DOUBLE_EQ(b, oc.boost_max - oc.reactive_step);
+    EXPECT_DOUBLE_EQ(b, core::kBoostMax - core::kReactiveStep);
 }
 
 TEST(ScalingPolicy, PiAntiWindupRecoversImmediately)
 {
-    OverloadConfig oc; // kp=0.8 ki=0.05 boost_max=3
-    core::PiPolicy pi(oc);
+    core::PiPolicy pi; // kKp=0.8 kKi=0.05 kBoostMax=3
     double b = 1.0;
     // A long saturation episode: huge persistent error. The output
-    // rails at boost_max and the conditional integration must freeze
+    // rails at kBoostMax and the conditional integration must freeze
     // the integral at the reachable range instead of winding up
-    // (naive integration would accumulate ki*e*dt = 3.0 per step).
+    // (naive integration would accumulate kKi*e*dt = 3.0 per step).
     for (int i = 0; i < 50; ++i)
         b = pi.update(2.0, 30.0, b);
-    EXPECT_DOUBLE_EQ(b, oc.boost_max);
-    EXPECT_LE(pi.integral(), oc.boost_max - 1.0 + 1e-12);
+    EXPECT_DOUBLE_EQ(b, core::kBoostMax);
+    EXPECT_LE(pi.integral(), core::kBoostMax - 1.0 + 1e-12);
     // The moment the error reverses, the output must leave the rail
     // in ONE step — that is the whole point of anti-windup.
     double recovered = pi.update(-1.0, 30.0, b);
-    EXPECT_LT(recovered, oc.boost_max);
+    EXPECT_LT(recovered, core::kBoostMax);
 }
 
 TEST(ScalingPolicy, FactoryHonorsKind)
@@ -374,7 +372,7 @@ TEST(OverloadE2E, BrownoutDegradesAndRestoresBestEffort)
 
     // Best-effort flood: enough filler to reserve the cluster and
     // pile the rest into the admission queue, tripping Overloaded on
-    // both probes. The placed victim is browned out to brownout_cores
+    // both probes. The placed victim is browned out to kBrownoutCores
     // per share.
     std::vector<WorkloadId> fill;
     for (int i = 0; i < 300; ++i)
@@ -389,7 +387,7 @@ TEST(OverloadE2E, BrownoutDegradesAndRestoresBestEffort)
         EXPECT_GE(w.mgr.stats().brownouts, 1u);
         for (ServerId sid : w.cluster.serversHosting(victim))
             EXPECT_EQ(w.cluster.server(sid).share(victim)->cores,
-                      cfg.overload.brownout_cores);
+                      core::kBrownoutCores);
     }
 
     // Pressure clears: the flood departs (placed and queued alike),
@@ -465,8 +463,8 @@ TEST(OverloadE2E, AutoscalerBoostsUnderperformingService)
     // The boost stays inside the configured clamp and the service
     // keeps its placement.
     double boost = w.mgr.overload().boostFor(id);
-    EXPECT_GE(boost, cfg.overload.boost_min);
-    EXPECT_LE(boost, cfg.overload.boost_max);
+    EXPECT_GE(boost, core::kBoostMin);
+    EXPECT_LE(boost, core::kBoostMax);
     EXPECT_FALSE(w.cluster.serversHosting(id).empty());
 }
 

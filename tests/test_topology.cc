@@ -11,10 +11,9 @@
  *    introduces (zero-capacity domains, attenuated cross-socket
  *    pressure above 1, the Cpu-vs-LLCache cross-socket asymmetry).
  *
- *  - `Socket*` server/ledger: the maintained per-socket ledger stays
- *    conserved through every mutation path, injected pressure homes on
- *    its socket, and (under QUASAR_VERIFY) a hand-desynced ledger
- *    aborts the sweep.
+ *  - `SocketPressure`: the fresh per-socket pressure walk sums to the
+ *    flat raw ledger through every mutation path, each share's and
+ *    each injection's pressure homes on its own socket.
  *
  *  - `Socket*` placement: socket-aware selection avoids a thrashed
  *    socket where the blind fewest-cores rule walks into it; both
@@ -39,13 +38,8 @@
 #include "core/scheduler.hh"
 #include "driver/scenario.hh"
 #include "profiling/profiler.hh"
-#include "topology/ledger.hh"
 #include "topology/topology.hh"
 #include "workload/factory.hh"
-
-#ifdef QUASAR_VERIFY
-#include "verify/verify.hh"
-#endif
 
 using namespace quasar;
 using interference::IVector;
@@ -276,27 +270,24 @@ TEST(Topology, AttenuatedRemotePressureCanStillExceedOne)
 }
 
 // ---------------------------------------------------------------------
-// Per-socket ledger on Server
+// Per-socket pressure on Server
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-/** Maintained ledger == fresh recompute per socket, sockets sum to the
- *  flat raw ledger. */
+/** Per-socket pressure is never negative and the sockets sum to the
+ *  flat raw ledger (two independent ordered walks). */
 void
-expectLedgerConserved(const sim::Server &srv, const std::string &ctx)
+expectSocketsSumToRaw(const sim::Server &srv, const std::string &ctx)
 {
     IVector summed{};
     for (int sock = 0; sock < srv.numSockets(); ++sock) {
-        const IVector maintained = srv.maintainedSocketPressure(sock);
-        const IVector fresh = srv.freshSocketPressure(sock);
+        const IVector local = srv.freshSocketPressure(sock);
         for (size_t i = 0; i < kNumSources; ++i) {
-            EXPECT_NEAR(maintained[i], fresh[i], 1e-9)
+            EXPECT_GE(local[i], -1e-9)
                 << ctx << " socket " << sock << " source " << i;
-            EXPECT_GE(maintained[i], -1e-9)
-                << ctx << " socket " << sock << " source " << i;
-            summed[i] += maintained[i];
+            summed[i] += local[i];
         }
     }
     const IVector raw = srv.rawPressure();
@@ -319,46 +310,60 @@ pressuredShare(WorkloadId id, int cores, int socket)
 
 } // namespace
 
-TEST(SocketLedger, ConservedAcrossEveryMutationPath)
+TEST(SocketPressure, ConservedAcrossEveryMutationPath)
 {
     sim::Cluster cluster = twoSocketCluster(1);
     sim::Server &srv = cluster.server(ServerId(0));
+    const size_t llc = size_t(Source::LLCache);
 
     srv.place(pressuredShare(WorkloadId(1), 2, 0));
-    expectLedgerConserved(srv, "after place s0");
+    expectSocketsSumToRaw(srv, "after place s0");
     srv.place(pressuredShare(WorkloadId(2), 4, 1));
-    expectLedgerConserved(srv, "after place s1");
+    expectSocketsSumToRaw(srv, "after place s1");
+    // Each share's pressure lands on its own home socket.
+    EXPECT_DOUBLE_EQ(srv.freshSocketPressure(0)[llc],
+                     srv.share(WorkloadId(1))->caused[llc]);
+    EXPECT_DOUBLE_EQ(srv.freshSocketPressure(1)[llc],
+                     srv.share(WorkloadId(2))->caused[llc]);
 
     ASSERT_TRUE(srv.resize(WorkloadId(2), 2, 1.0));
-    expectLedgerConserved(srv, "after resize");
+    expectSocketsSumToRaw(srv, "after resize");
+    EXPECT_DOUBLE_EQ(srv.freshSocketPressure(1)[llc],
+                     srv.share(WorkloadId(2))->caused[llc]);
 
+    // An isolation grant moves the share's pressure into its private
+    // partition; the revoke brings it back.
     ASSERT_TRUE(srv.setIsolation(WorkloadId(1), Source::LLCache, true));
-    expectLedgerConserved(srv, "after isolation grant");
+    expectSocketsSumToRaw(srv, "after isolation grant");
+    EXPECT_EQ(srv.freshSocketPressure(0)[llc], 0.0);
     ASSERT_TRUE(
         srv.setIsolation(WorkloadId(1), Source::LLCache, false));
-    expectLedgerConserved(srv, "after isolation revoke");
+    expectSocketsSumToRaw(srv, "after isolation revoke");
+    EXPECT_DOUBLE_EQ(srv.freshSocketPressure(0)[llc],
+                     srv.share(WorkloadId(1))->caused[llc]);
 
     IVector inj{};
     inj[size_t(Source::MemoryBw)] = 0.3;
     srv.injectPressureAt(1, inj);
-    expectLedgerConserved(srv, "after inject");
+    expectSocketsSumToRaw(srv, "after inject");
     srv.clearInjectedPressure();
-    expectLedgerConserved(srv, "after clear inject");
+    expectSocketsSumToRaw(srv, "after clear inject");
 
     ASSERT_TRUE(srv.remove(WorkloadId(1)));
-    expectLedgerConserved(srv, "after remove");
+    expectSocketsSumToRaw(srv, "after remove");
+    EXPECT_EQ(srv.freshSocketPressure(0)[llc], 0.0);
 
     srv.markDown();
-    expectLedgerConserved(srv, "after markDown");
+    expectSocketsSumToRaw(srv, "after markDown");
     for (int sock = 0; sock < srv.numSockets(); ++sock) {
-        const IVector after = srv.maintainedSocketPressure(sock);
+        const IVector after = srv.freshSocketPressure(sock);
         for (size_t i = 0; i < kNumSources; ++i)
             EXPECT_EQ(after[i], 0.0)
                 << "socket " << sock << " source " << i;
     }
 }
 
-TEST(SocketLedger, InjectedPressureHomesOnItsSocket)
+TEST(SocketPressure, InjectedPressureHomesOnItsSocket)
 {
     sim::Cluster cluster = twoSocketCluster(1);
     sim::Server &srv = cluster.server(ServerId(0));
@@ -367,32 +372,12 @@ TEST(SocketLedger, InjectedPressureHomesOnItsSocket)
     v[llc] = 0.5;
     srv.injectPressureAt(1, v);
 
-    // Raw (unnormalized) ledgers: all of it on socket 1.
-    EXPECT_EQ(srv.maintainedSocketPressure(0)[llc], 0.0);
-    EXPECT_DOUBLE_EQ(srv.maintainedSocketPressure(1)[llc],
+    // Raw (unnormalized) pressure: all of it on socket 1.
+    EXPECT_EQ(srv.freshSocketPressure(0)[llc], 0.0);
+    EXPECT_DOUBLE_EQ(srv.freshSocketPressure(1)[llc],
                      0.5 * srv.socketCapacity(1)[llc]);
-    expectLedgerConserved(srv, "after injectPressureAt(1)");
+    expectSocketsSumToRaw(srv, "after injectPressureAt(1)");
 }
-
-#ifdef QUASAR_VERIFY
-TEST(SocketLedger, DesyncedLedgerAbortsVerifySweep)
-{
-    sim::Cluster cluster = twoSocketCluster(1);
-    cluster.server(ServerId(0))
-        .place(pressuredShare(WorkloadId(1), 2, 0));
-    verify::sweepCluster(cluster, nullptr); // clean: must not abort
-    cluster.server(ServerId(0))
-        .desyncSocketLedgerForTest(0, Source::LLCache, 0.5);
-    EXPECT_DEATH(verify::sweepCluster(cluster, nullptr),
-                 "socket ledger");
-}
-#else
-TEST(SocketLedger, DesyncedLedgerAbortsVerifySweep)
-{
-    GTEST_SKIP() << "QUASAR_VERIFY is OFF; the conservation sweep is "
-                    "compiled out of this build";
-}
-#endif
 
 // ---------------------------------------------------------------------
 // Socket selection in the scheduler
