@@ -9,10 +9,20 @@
  * characterization. The single exhaustive classification (all
  * allocation x assignment combinations in one matrix) is evaluated on
  * the same workloads for the paper's comparison columns.
+ *
+ * The run also folds the bits of every estimate either mode computes
+ * (warm-up included) into one FNV-1a hash per mode. The inputs are
+ * seeded, so the hashes are exact: `--baseline=FILE` fails the run
+ * when either differs from the committed BENCH_classifier.json — the
+ * CI gate that a kernel change left every estimate bit-identical.
+ * Refresh the file by hand when a change to the estimates is
+ * intentional.
  */
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "bench/common.hh"
 #include "core/classifier.hh"
@@ -23,6 +33,44 @@ using workload::Workload;
 
 namespace
 {
+
+/** FNV-1a fold over the bit patterns of estimate values. */
+struct EstimateHash
+{
+    uint64_t h = 0xCBF29CE484222325ULL;
+
+    void fold(uint64_t v)
+    {
+        h ^= v;
+        h *= 0x100000001B3ULL;
+    }
+    template <typename Range>
+    void foldAll(const Range &values)
+    {
+        fold(uint64_t(std::size(values)));
+        for (double x : values) {
+            uint64_t bits;
+            std::memcpy(&bits, &x, sizeof bits);
+            fold(bits);
+        }
+    }
+    void fold(const core::WorkloadEstimate &est)
+    {
+        foldAll(est.scale_up_perf);
+        foldAll(est.scale_out_speedup);
+        foldAll(est.platform_factor);
+        foldAll(est.tolerated);
+        foldAll(est.caused_per_core);
+        foldAll(est.cross_perf);
+    }
+};
+
+/** Every estimate computed, per mode. */
+struct Hashes
+{
+    EstimateHash parallel;
+    EstimateHash exhaustive;
+};
 
 struct ErrorSet
 {
@@ -47,7 +95,7 @@ void
 evaluate(const Workload &w, core::Classifier &clf,
          core::Classifier &clf_exh, const profiling::Profiler &profiler,
          const profiling::Profiler &truth_prof, stats::Rng &rng,
-         ErrorSet &out)
+         Hashes &hashes, ErrorSet &out)
 {
     const auto &catalog = profiler.catalog();
     auto data = profiler.profile(w, 0.0, rng);
@@ -57,6 +105,8 @@ evaluate(const Workload &w, core::Classifier &clf,
     auto t1 = std::chrono::steady_clock::now();
     auto est_exh = clf_exh.classify(w, data);
     auto t2 = std::chrono::steady_clock::now();
+    hashes.parallel.fold(est);
+    hashes.exhaustive.fold(est_exh);
     out.decision_seconds += std::chrono::duration<double>(t1 - t0).count();
     out.exhaustive_seconds +=
         std::chrono::duration<double>(t2 - t1).count();
@@ -126,8 +176,15 @@ printRow(const char *name, const ErrorSet &e)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    std::string baseline_path;
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg.rfind("--baseline=", 0) == 0)
+            baseline_path = arg.substr(11);
+    }
+
     bench::banner("Table 2: classification-engine validation "
                   "(avg / 90th pct / max error)");
     std::printf("(interference errors are absolute, on tolerated "
@@ -155,11 +212,12 @@ main()
     // Warm the online history as a production cluster would have
     // (every scheduled workload contributes its profiling row).
     stats::Rng rng(99);
+    Hashes hashes;
     for (int i = 0; i < 150; ++i) {
         Workload w = factory.randomWorkload("warm");
         auto d = profiler.profile(w, 0.0, rng);
-        clf.classify(w, d);
-        clf_exh.classify(w, d);
+        hashes.parallel.fold(clf.classify(w, d));
+        hashes.exhaustive.fold(clf_exh.classify(w, d));
     }
 
     static const char *families[] = {"spec-int", "spec-fp", "parsec",
@@ -170,7 +228,7 @@ main()
     for (int i = 0; i < 10; ++i)
         evaluate(factory.hadoopJob("hadoop",
                                    factory.rng().uniform(1.0, 300.0)),
-                 clf, clf_exh, profiler, truth_prof, rng, hadoop_err);
+                 clf, clf_exh, profiler, truth_prof, rng, hashes, hadoop_err);
 
     ErrorSet mc_err;
     for (int i = 0; i < 10; ++i) {
@@ -178,7 +236,7 @@ main()
         evaluate(factory.memcachedService(
                      "memcached", q, 200e-6, 60.0,
                      std::make_shared<tracegen::FlatLoad>(q)),
-                 clf, clf_exh, profiler, truth_prof, rng, mc_err);
+                 clf, clf_exh, profiler, truth_prof, rng, hashes, mc_err);
     }
 
     ErrorSet web_err;
@@ -187,13 +245,13 @@ main()
         evaluate(factory.webService(
                      "webserver", q, 0.1,
                      std::make_shared<tracegen::FlatLoad>(q)),
-                 clf, clf_exh, profiler, truth_prof, rng, web_err);
+                 clf, clf_exh, profiler, truth_prof, rng, hashes, web_err);
     }
 
     ErrorSet single_err;
     for (int i = 0; i < 413; ++i)
         evaluate(factory.singleNodeJob("single", families[i % 8]), clf,
-                 clf_exh, profiler, truth_prof, rng, single_err);
+                 clf_exh, profiler, truth_prof, rng, hashes, single_err);
 
     bench::section("results (paper Table 2 format)");
     printRow("Hadoop (10 jobs)", hadoop_err);
@@ -204,5 +262,30 @@ main()
     std::printf("\npaper reference: avg errors < 8%% across types, max "
                 "< 17%%; exhaustive slightly worse on average with a "
                 "tighter max, and ~100x the decision time.\n");
+
+    const uint64_t par = hashes.parallel.h;
+    const uint64_t exh = hashes.exhaustive.h;
+    std::printf("\nestimate hash: 4-parallel %016llx, exhaustive "
+                "%016llx\n",
+                (unsigned long long)par, (unsigned long long)exh);
+    if (baseline_path.empty())
+        return 0;
+    std::string row = bench::baselineRow(baseline_path,
+                                         {"\"parallel_hash\""});
+    const uint64_t base_par = bench::rowHex(row, "parallel_hash");
+    const uint64_t base_exh = bench::rowHex(row, "exhaustive_hash");
+    if (par != base_par || exh != base_exh) {
+        std::fprintf(stderr,
+                     "FAIL: estimate hashes %016llx / %016llx differ "
+                     "from %s (%016llx / %016llx): a classifier change "
+                     "moved an estimate\n",
+                     (unsigned long long)par, (unsigned long long)exh,
+                     baseline_path.c_str(),
+                     (unsigned long long)base_par,
+                     (unsigned long long)base_exh);
+        return 1;
+    }
+    std::printf("estimate-hash gate ok: both match %s\n",
+                baseline_path.c_str());
     return 0;
 }

@@ -14,7 +14,15 @@
 #      BENCH_decision_path.json baseline. The fresh numbers go to
 #      build-release/decision_path.json; the committed baseline is
 #      only read (refresh it by hand when a change is intentional).
-#   4. Run the churn-stream smoke (Release): the full bench's
+#   4. Run the Table 2 classification bench (Release) and fail unless
+#      its FNV-1a hashes over the bits of every 4-parallel and every
+#      exhaustive estimate equal the committed BENCH_classifier.json.
+#      The gate is exact: the inputs are seeded and the CF kernels
+#      keep every reduction's order with no FMA or fast-math, so any
+#      kernel change that moves one estimate bit fails it on any
+#      host. Refresh the file by hand when an estimate change is
+#      intentional.
+#   5. Run the churn-stream smoke (Release): the full bench's
 #      1000-server slice (dirty vs full_rescan) plus a dirty-only
 #      larger-scale leg at 10000 servers — a seeded open-loop
 #      arrival/departure/fault stream. Fails on any placement
@@ -25,14 +33,14 @@
 #      decision path deterministic, so the hash must reproduce
 #      in-container; refresh the file with `bench/churn` — no
 #      --smoke — when a change is intentional).
-#   5. Run the trace-replay smoke (Release): both checked-in trace
+#   6. Run the trace-replay smoke (Release): both checked-in trace
 #      fixtures (Google task-events, Azure vmtable) parsed, mapped,
 #      and replayed through both scheduler modes plus a
 #      re-replay. Fails on any placement-hash divergence between
 #      modes, on an unstable re-replay, or if either parser's
 #      diagnostic counts drift from the fixtures' known malformed-row
 #      counts (9 google / 7 azure — see tools/gen_trace_fixtures.py).
-#   6. Run the overload-control smoke (Release): diurnal + flash-
+#   7. Run the overload-control smoke (Release): diurnal + flash-
 #      crowd traffic at 200 servers, controller off vs on. Fails if
 #      the controller's shedding/scaling decisions diverge across
 #      scheduler index modes or a re-replay (placement AND decision
@@ -42,7 +50,7 @@
 #      that rate regresses more than 0.05 (absolute) above the
 #      committed BENCH_overload.json (refresh with `bench/overload`
 #      — no --smoke — when a shift is intentional).
-#   7. Run the topology smoke (Release): the cache-thrashed-socket
+#   8. Run the topology smoke (Release): the cache-thrashed-socket
 #      scenario on 2-socket machines, socket-aware vs topology-blind
 #      homing (DESIGN.md §13). Fails if the aware leg's placement
 #      hash is not reproduced bit-identically by the full_rescan and
@@ -51,7 +59,7 @@
 #      more than 0.05 (absolute) above the committed
 #      BENCH_topology.json (refresh with `bench/topology --smoke`
 #      when a shift is intentional).
-#   8. Static analysis + verification soak:
+#   9. Static analysis + verification soak:
 #      a. tools/quasar-lint (the structure-aware analyzer: token
 #         rules plus mutation-journaling, decision-purity and
 #         layering/include-cycle — see DESIGN.md §10) over src/
@@ -104,6 +112,12 @@ if [ -f BENCH_decision_path.json ]; then
 fi
 ./build-release/bench/micro_overheads --decision-path \
     --out=build-release/decision_path.json "${BASELINE_ARGS[@]}"
+
+echo "== classifier: exact Table 2 estimate-hash gate =="
+cmake --build build-release -j "$JOBS" \
+      --target table2_classification_validation
+./build-release/bench/table2_classification_validation \
+    --baseline=BENCH_classifier.json
 
 echo "== churn smoke: mode equivalence, throughput/hash gates (1k + 10k) =="
 cmake --build build-release -j "$JOBS" --target churn

@@ -116,10 +116,14 @@ AdmissionQueue::abandon(WorkloadId id)
 double
 AdmissionQueue::enqueuedAt(WorkloadId id) const
 {
-    for (const Entry &e : pending_)
+    // A retry pass asks about the entry at the front of in_retry_, so
+    // scan that list first: O(1) per retry instead of a walk over the
+    // whole pending list. An id sits in at most one list (enqueue
+    // asserts it), so the order cannot change the answer.
+    for (const Entry &e : in_retry_)
         if (e.id == id)
             return e.enqueued_at;
-    for (const Entry &e : in_retry_)
+    for (const Entry &e : pending_)
         if (e.id == id)
             return e.enqueued_at;
     return -1.0;

@@ -526,12 +526,10 @@ QuasarManager::shrinkAllocation(Workload &w, const WorkloadEstimate &est,
     size_t p_idx = scheduler_.platformIndexOf(srv);
     double interf = est.interferenceMultiplier(
         srv.contentionFor(w.id), scheduler_.config().slope_guess);
-    // Smallest config that still meets the per-node requirement.
-    double others = predictCurrent(w, est);
-    // Approximate per-node need: required / node count.
+    // Smallest config that still meets the per-node requirement,
+    // approximating the per-node need as required / node count.
     double per_node_need =
         required / double(std::max<size_t>(hosting.size(), 1));
-    (void)others;
     int best_cores = share->cores;
     double best_mem = share->memory_gb;
     bool found = false;

@@ -53,6 +53,10 @@ class Matrix
 
     const std::vector<double> &data() const { return data_; }
 
+    /** Row-major storage, rows() * cols() contiguous doubles. */
+    double *raw() { return data_.data(); }
+    const double *raw() const { return data_.data(); }
+
   private:
     size_t rows_ = 0;
     size_t cols_ = 0;

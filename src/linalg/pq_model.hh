@@ -24,10 +24,16 @@
 namespace quasar::linalg
 {
 
+/**
+ * Largest supported latent rank. Fold-in solves its k x k normal
+ * system in fixed-size stack arrays of this size.
+ */
+inline constexpr size_t kMaxRank = 16;
+
 /** Hyperparameters for PQ-reconstruction. */
 struct PqConfig
 {
-    size_t rank = 8;            ///< number of latent factors.
+    size_t rank = 8;            ///< latent factors (<= kMaxRank).
     size_t max_epochs = 300;    ///< SGD epoch limit.
     uint64_t seed = 42;         ///< entry-visit shuffle seed.
 };
@@ -36,7 +42,8 @@ struct PqConfig
 class PqModel
 {
   public:
-    explicit PqModel(PqConfig cfg = {}) : cfg_(cfg) {}
+    /** Aborts when cfg.rank exceeds kMaxRank. */
+    explicit PqModel(PqConfig cfg = {});
 
     /** Fit to the observed entries of a. */
     void fit(const MaskedMatrix &a);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <random>
 
@@ -42,37 +43,60 @@ namespace
 {
 
 /**
- * One-sided Jacobi on a tall matrix (rows >= cols): orthogonalize the
- * columns of W = A*V by plane rotations, accumulating V.
+ * One-sided Jacobi on a tall m x n matrix (m >= n) held column-major
+ * in w: orthogonalize the columns of W = A*V by plane rotations,
+ * accumulating V.
+ *
+ * Column-major storage makes every column a contiguous run, so the
+ * rotation loops are element-wise over two disjoint arrays and
+ * vectorize without changing a bit; the alpha/beta/gamma sums keep
+ * their serial i order. A pair found orthogonal is skipped until one
+ * of its columns rotates: its sums are a function of the two columns
+ * alone, so it would be found orthogonal again.
  */
 SvdResult
-jacobiTall(const Matrix &a, size_t max_rank, double tol, size_t max_sweeps)
+jacobiColumnMajor(std::vector<double> w, size_t m, size_t n,
+                  size_t max_rank, double tol, size_t max_sweeps)
 {
-    const size_t m = a.rows();
-    const size_t n = a.cols();
-    assert(m >= n);
+    assert(m >= n && w.size() == m * n);
 
-    Matrix w = a;                   // working copy, becomes U * diag(s)
-    Matrix v(n, n);
+    std::vector<double> v(n * n, 0.0); // column-major too
     for (size_t i = 0; i < n; ++i)
-        v.at(i, i) = 1.0;
+        v[i * n + i] = 1.0;
+
+    // changed[j]: rotation count when column j last rotated;
+    // settled[p*n+q]: 1 + rotation count when the pair was last
+    // found orthogonal (0: never). The pair is still orthogonal
+    // while neither column has rotated since.
+    uint64_t rotations = 0;
+    std::vector<uint64_t> changed(n, 0);
+    std::vector<uint64_t> settled(n * n, 0);
 
     for (size_t sweep = 0; sweep < max_sweeps; ++sweep) {
         bool rotated = false;
         for (size_t p = 0; p + 1 < n; ++p) {
+            double *__restrict wp = w.data() + p * m;
+            double *__restrict vp = v.data() + p * n;
             for (size_t q = p + 1; q < n; ++q) {
+                uint64_t &clean = settled[p * n + q];
+                if (clean > changed[p] && clean > changed[q])
+                    continue;
+                double *__restrict wq = w.data() + q * m;
+                double *__restrict vq = v.data() + q * n;
                 double alpha = 0.0, beta = 0.0, gamma = 0.0;
                 for (size_t i = 0; i < m; ++i) {
-                    double wp = w.at(i, p), wq = w.at(i, q);
-                    alpha += wp * wp;
-                    beta += wq * wq;
-                    gamma += wp * wq;
+                    alpha += wp[i] * wp[i];
+                    beta += wq[i] * wq[i];
+                    gamma += wp[i] * wq[i];
                 }
                 if (std::fabs(gamma) <= tol * std::sqrt(alpha * beta) ||
                     gamma == 0.0) {
+                    clean = rotations + 1;
                     continue;
                 }
                 rotated = true;
+                ++rotations;
+                changed[p] = changed[q] = rotations;
                 double zeta = (beta - alpha) / (2.0 * gamma);
                 double t = (zeta >= 0.0 ? 1.0 : -1.0) /
                            (std::fabs(zeta) +
@@ -80,14 +104,14 @@ jacobiTall(const Matrix &a, size_t max_rank, double tol, size_t max_sweeps)
                 double c = 1.0 / std::sqrt(1.0 + t * t);
                 double s = c * t;
                 for (size_t i = 0; i < m; ++i) {
-                    double wp = w.at(i, p), wq = w.at(i, q);
-                    w.at(i, p) = c * wp - s * wq;
-                    w.at(i, q) = s * wp + c * wq;
+                    double a = wp[i], b = wq[i];
+                    wp[i] = c * a - s * b;
+                    wq[i] = s * a + c * b;
                 }
                 for (size_t i = 0; i < n; ++i) {
-                    double vp = v.at(i, p), vq = v.at(i, q);
-                    v.at(i, p) = c * vp - s * vq;
-                    v.at(i, q) = s * vp + c * vq;
+                    double a = vp[i], b = vq[i];
+                    vp[i] = c * a - s * b;
+                    vq[i] = s * a + c * b;
                 }
             }
         }
@@ -98,9 +122,10 @@ jacobiTall(const Matrix &a, size_t max_rank, double tol, size_t max_sweeps)
     // Singular values are column norms of W; sort descending.
     std::vector<double> norms(n);
     for (size_t j = 0; j < n; ++j) {
+        const double *wj = w.data() + j * m;
         double s = 0.0;
         for (size_t i = 0; i < m; ++i)
-            s += w.at(i, j) * w.at(i, j);
+            s += wj[i] * wj[i];
         norms[j] = std::sqrt(s);
     }
     std::vector<size_t> order(n);
@@ -119,10 +144,12 @@ jacobiTall(const Matrix &a, size_t max_rank, double tol, size_t max_sweeps)
         double s = norms[j];
         out.singular[k] = s;
         double inv = (s > 0.0) ? 1.0 / s : 0.0;
+        const double *wj = w.data() + j * m;
+        const double *vj = v.data() + j * n;
         for (size_t i = 0; i < m; ++i)
-            out.u.at(i, k) = w.at(i, j) * inv;
+            out.u.at(i, k) = wj[i] * inv;
         for (size_t i = 0; i < n; ++i)
-            out.v.at(i, k) = v.at(i, j);
+            out.v.at(i, k) = vj[i];
     }
     return out;
 }
@@ -198,11 +225,22 @@ randomizedSvd(const Matrix &a, size_t rank, size_t power_iters,
 SvdResult
 svd(const Matrix &a, size_t max_rank, double tol, size_t max_sweeps)
 {
-    if (a.rows() >= a.cols())
-        return jacobiTall(a, max_rank, tol, max_sweeps);
+    const size_t m = a.rows();
+    const size_t n = a.cols();
+    if (m >= n) {
+        // Column-major copy of the tall matrix.
+        std::vector<double> w(m * n);
+        for (size_t i = 0; i < m; ++i)
+            for (size_t j = 0; j < n; ++j)
+                w[j * m + i] = a.at(i, j);
+        return jacobiColumnMajor(std::move(w), m, n, max_rank, tol,
+                                 max_sweeps);
+    }
 
-    // Wide matrix: decompose the transpose and swap U <-> V.
-    SvdResult t = jacobiTall(a.transpose(), max_rank, tol, max_sweeps);
+    // Wide matrix: decompose the transpose and swap U <-> V. The
+    // row-major storage of a is the column-major storage of a^T.
+    SvdResult t = jacobiColumnMajor(a.data(), n, m, max_rank, tol,
+                                    max_sweeps);
     SvdResult out;
     out.u = std::move(t.v);
     out.v = std::move(t.u);

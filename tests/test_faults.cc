@@ -387,6 +387,54 @@ TEST(AdmissionRetry, AbandonRemovesWithoutWaitAccounting)
     EXPECT_EQ(q.waitTimes().count(), 0u);
 }
 
+TEST(AdmissionQueue, EnqueuedAtIsTheWaitStartPendingOrMidRetry)
+{
+    core::AdmissionQueue q;
+    q.enqueue(1, 10.0);
+    q.enqueueWithBackoff(2, 11.0, 5.0, 40.0);
+    q.enqueue(3, 12.0);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(1), 10.0); // pending
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(2), 11.0);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(99), -1.0); // never queued
+
+    // A retry pass moves 1 and 3 mid-retry (2 is backed off until
+    // t=16); each keeps its wait start.
+    auto due = q.drainForRetry(13.0);
+    ASSERT_EQ(due, (std::vector<WorkloadId>{1, 3}));
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(1), 10.0);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(3), 12.0);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(2), 11.0); // still pending
+
+    // Mid-pass, a nested drain (a fault handler) takes 2 and a new
+    // entry 4 behind the outer pass's entries.
+    q.enqueue(4, 14.0);
+    auto nested = q.drainForRetry(20.0);
+    ASSERT_EQ(nested, (std::vector<WorkloadId>{2, 4}));
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(1), 10.0);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(2), 11.0);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(3), 12.0);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(4), 14.0);
+
+    // The outer pass resumes at its front entry: 1 fails and is
+    // re-queued with its original wait start, 3 is admitted.
+    q.enqueue(1, 20.0);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(1), 10.0);
+    q.admitted(3, 21.0);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(3), -1.0);
+    EXPECT_DOUBLE_EQ(q.waitTimes().values().back(), 9.0);
+
+    // The nested pass: 2 is killed mid-retry, 4 is admitted; 1 is
+    // abandoned while pending.
+    q.abandon(2);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(2), -1.0);
+    q.admitted(4, 22.0);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(4), -1.0);
+    q.abandon(1);
+    EXPECT_DOUBLE_EQ(q.enqueuedAt(1), -1.0);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.waitTimes().count(), 2u);
+}
+
 // ---------------------------------------------------------------------
 // Quasar recovery behaviour
 // ---------------------------------------------------------------------
@@ -451,6 +499,78 @@ TEST(FaultRecovery, DisplacedServiceIsReplacedAndCounted)
     ASSERT_FALSE(now.empty());
     for (ServerId sid : now)
         EXPECT_TRUE(w.cluster.server(sid).available());
+}
+
+TEST(FaultRecovery, FullDisplacementSpreadsReplicasAcrossZones)
+{
+    // 24 identical servers (platform E) dealt round-robin over 4
+    // fault zones. Every server outside zone 0 runs slightly
+    // degraded, so candidate ranking prefers zone 0 and a plain
+    // placement packs into it.
+    auto catalog = sim::localPlatforms();
+    std::vector<int> counts(catalog.size(), 0);
+    counts[4] = 24;
+    sim::Cluster cluster(catalog, counts, 4);
+    for (size_t s = 0; s < cluster.size(); ++s) {
+        sim::Server &srv = cluster.server(ServerId(s));
+        if (srv.faultZone() != 0) {
+            ASSERT_TRUE(srv.degrade(0.9));
+        }
+    }
+    workload::WorkloadRegistry registry;
+    core::QuasarManager mgr(cluster, registry);
+    workload::WorkloadFactory seeder{stats::Rng(4242)};
+    mgr.seedOffline(seeder, 20);
+
+    workload::WorkloadFactory factory{stats::Rng(2024)};
+    const double qps = 150.0;
+    WorkloadId id = registry.add(factory.webService(
+        "web", qps, 0.1,
+        std::make_shared<tracegen::FlatLoad>(qps)));
+    mgr.onSubmit(id, 0.0);
+    std::vector<ServerId> first = cluster.serversHosting(id);
+    ASSERT_GE(first.size(), 2u) << "needs a multi-node service";
+    for (ServerId sid : first) {
+        ASSERT_EQ(cluster.server(sid).faultZone(), 0)
+            << "the first placement does not spread, so it packs the "
+               "best zone";
+    }
+
+    // Every hosting server crashes at once; the manager then hears of
+    // the losses one by one. The first notice finds the service with
+    // no node left: a full displacement, re-placed by trySchedule.
+    for (ServerId sid : first)
+        cluster.server(sid).markDown();
+    const size_t scheduled = mgr.stats().scheduled;
+    mgr.onServerDown(first.front(), {id}, 100.0);
+    EXPECT_EQ(mgr.stats().scheduled, scheduled + 1);
+    EXPECT_EQ(mgr.stats().recoveries, 1u);
+    std::vector<ServerId> now = cluster.serversHosting(id);
+    ASSERT_GE(now.size(), 2u);
+    ASSERT_LE(now.size(), size_t(cluster.numFaultZones()));
+
+    // Zone 0 still has enough live servers, all outranking every
+    // other zone's, to hold the whole service again: distinct zones
+    // can only come from the spread_zones pass.
+    size_t zone0_live = 0;
+    for (ServerId sid : cluster.serversInZone(0))
+        zone0_live += cluster.server(sid).available();
+    EXPECT_GE(zone0_live, now.size());
+    std::vector<int> zones;
+    for (ServerId sid : now) {
+        EXPECT_TRUE(cluster.server(sid).available());
+        zones.push_back(cluster.server(sid).faultZone());
+    }
+    std::sort(zones.begin(), zones.end());
+    EXPECT_EQ(std::adjacent_find(zones.begin(), zones.end()),
+              zones.end())
+        << "two replicas share a fault zone";
+
+    // The remaining notices find the service placed again.
+    for (size_t i = 1; i < first.size(); ++i)
+        mgr.onServerDown(first[i], {id}, 100.0);
+    for (ServerId sid : cluster.serversHosting(id))
+        EXPECT_TRUE(cluster.server(sid).available());
 }
 
 // Regression: a batch job whose every server is fully degraded (speed

@@ -242,6 +242,16 @@ TEST(PqModel, EmptyMatrixSafe)
     EXPECT_DOUBLE_EQ(model.predict(0, 0), 0.0);
 }
 
+TEST(PqModel, RankAboveMaxIsRejected)
+{
+    // Fold-in solves in kMaxRank-sized stack arrays, so a larger rank
+    // is refused at construction rather than overrunning them later.
+    PqModel at_max(PqConfig{.rank = kMaxRank});
+    EXPECT_EQ(at_max.config().rank, kMaxRank);
+    EXPECT_DEATH(PqModel(PqConfig{.rank = kMaxRank + 1}),
+                 "exceeds kMaxRank");
+}
+
 TEST(PqModel, FoldInRecoversRow)
 {
     // Dense history of a rank-2 structure; new row observed at 3 of
