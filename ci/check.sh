@@ -196,6 +196,6 @@ cmake --build build-verify -j "$JOBS" --target quasar_tests
 # pressure conservation, socket selection, and the flat-topology
 # replay-equivalence sweep.
 ./build-verify/tests/quasar_tests \
-    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:ChurnClosedLoop.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*'
+    --gtest_filter='FaultRecovery.*:FaultInjector.*:Chaos.*:ServerHealth.*:AdmissionRetry.*:DecisionPath.*:ChangeJournal.*:RankingOrder.*:Verify.*:MutatorDeathSync.*:Trace*.*:HostingIndex.*:Overload*.*:ScalingPolicy.*:AdmissionQueue.*:Topology*.*:Socket*.*'
 
 echo "== all checks passed =="

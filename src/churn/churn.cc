@@ -132,42 +132,98 @@ makeChurnWorkload(ChurnClass cls, size_t idx,
     return factory.bestEffortJob(name);
 }
 
-void
-ChurnEngine::emitArrival(double t)
+namespace
 {
-    ChurnClass cls = drawClass(cfg_.mix, factory_->rng());
-    Workload w =
-        makeChurnWorkload(cls, next_idx_, *factory_, *cluster_);
+
+/**
+ * Generation state of one install(): the forked RNG streams, the
+ * population factory and the arrival process. The plan is complete
+ * when install() returns, so none of it outlives the call.
+ */
+class Generator
+{
+  public:
+    // Independent streams so a different mix draw never perturbs the
+    // arrival clock (and vice versa): pacing, population, lifetimes
+    // and phases each consume their own fork of the master seed, in
+    // the members' declaration order.
+    Generator(const ChurnConfig &cfg, stats::Rng &master,
+              sim::Cluster &cluster,
+              workload::WorkloadRegistry &registry,
+              driver::ScenarioDriver &driver,
+              std::vector<ChurnItem> &plan, ChurnCounts &counts)
+        : cfg_(cfg), cluster_(cluster), registry_(registry),
+          driver_(driver), plan_(plan), counts_(counts),
+          pacing_(master.fork()), factory_(master.fork()),
+          lifetimes_(master.fork()), phases_(master.fork())
+    {
+        if (cfg.arrivals == ArrivalKind::Pareto)
+            process_ = std::make_unique<tracegen::ParetoArrivals>(
+                cfg.arrival_rate_per_s > 0.0
+                    ? 1.0 / cfg.arrival_rate_per_s
+                    : 0.0,
+                cfg.pareto_alpha);
+        else
+            process_ = std::make_unique<tracegen::PoissonArrivals>(
+                cfg.arrival_rate_per_s);
+    }
+
+    /** Draw + register + schedule one arrival at time t. */
+    void emitArrival(double t);
+    /**
+     * Next inter-arrival gap as seen from time t: the process's raw
+     * gap, divided by the rate profile's multiplier at t (infinite
+     * when the process rate is zero).
+     */
+    double pacedGap(double t);
+
+  private:
+    const ChurnConfig &cfg_;
+    sim::Cluster &cluster_;
+    workload::WorkloadRegistry &registry_;
+    driver::ScenarioDriver &driver_;
+    std::vector<ChurnItem> &plan_;
+    ChurnCounts &counts_;
+    stats::Rng pacing_;
+    workload::WorkloadFactory factory_;
+    stats::Rng lifetimes_;
+    stats::Rng phases_;
+    std::unique_ptr<tracegen::ArrivalProcess> process_;
+    size_t next_idx_ = 0;
+};
+
+void
+Generator::emitArrival(double t)
+{
+    ChurnClass cls = drawClass(cfg_.mix, factory_.rng());
+    Workload w = makeChurnWorkload(cls, next_idx_, factory_, cluster_);
 
     ChurnItem item;
     item.cls = cls;
     item.arrival_s = t;
 
-    double life = tracegen::sampleDuration(lifetimeSpec(cfg_, cls),
-                                           *lifetimes_);
+    double life =
+        tracegen::sampleDuration(lifetimeSpec(cfg_, cls), lifetimes_);
     if (life > 0.0 && t + life < cfg_.horizon_s) {
         item.depart_s = t + life;
         ++counts_.departures_planned;
     }
 
-    if (phases_->chance(cfg_.phase_change_fraction)) {
+    if (phases_.chance(cfg_.phase_change_fraction)) {
         // Morph mid-life (or mid-horizon for stayers).
-        double end =
-            item.depart_s > 0.0 ? item.depart_s : cfg_.horizon_s;
-        factory_->addPhaseChange(w, t + 0.5 * (end - t));
+        double end = item.depart_s > 0.0 ? item.depart_s : cfg_.horizon_s;
+        factory_.addPhaseChange(w, t + 0.5 * (end - t));
         item.phase_change = true;
         ++counts_.phase_changes;
     }
 
-    item.id = registry_->add(std::move(w));
-    driver_->addArrival(item.id, t);
+    item.id = registry_.add(std::move(w));
+    driver_.addArrival(item.id, t);
     if (item.depart_s > 0.0) {
-        driver::ScenarioDriver &driver = *driver_;
         WorkloadId id = item.id;
         double at = item.depart_s;
-        driver.events().schedule(at, [&driver, id, at]() {
-            driver.killWorkload(id, at);
-        });
+        driver_.events().schedule(
+            at, [&d = driver_, id, at]() { d.killWorkload(id, at); });
     }
 
     plan_.push_back(item);
@@ -176,9 +232,9 @@ ChurnEngine::emitArrival(double t)
 }
 
 double
-ChurnEngine::pacedGap(double t)
+Generator::pacedGap(double t)
 {
-    double gap = process_->nextGap(*pacing_);
+    double gap = process_->nextGap(pacing_);
     if (!std::isfinite(gap) || !cfg_.rate_pattern)
         return gap;
     // The profile is a unit-less multiplier on the configured rate:
@@ -192,76 +248,27 @@ ChurnEngine::pacedGap(double t)
     return gap / mult;
 }
 
-void
-ChurnEngine::closedLoopStep()
-{
-    double t = driver_->events().now();
-    // Backpressure: a saturated admission queue makes the would-be
-    // tenant walk away (a deferral), not queue up. Pacing continues
-    // regardless, so the probe is consulted exactly once per instant
-    // and the stream stays deterministic for a deterministic manager.
-    if (depth_probe_ && depth_probe_() >= cfg_.closed_loop_target)
-        ++deferrals_;
-    else
-        emitArrival(t);
-
-    double gap = pacedGap(t);
-    if (!std::isfinite(gap))
-        return; // zero-rate process: the stream is over
-    double next = t + gap;
-    if (next < cfg_.horizon_s)
-        driver_->events().schedule(next,
-                                   [this]() { closedLoopStep(); });
-}
+} // namespace
 
 void
 ChurnEngine::install(sim::Cluster &cluster,
                      workload::WorkloadRegistry &registry,
                      driver::ScenarioDriver &driver)
 {
-    assert(plan_.empty() && !factory_ &&
-           "install() must be called once");
-    cluster_ = &cluster;
-    registry_ = &registry;
-    driver_ = &driver;
+    assert(plan_.empty() && !faults_ && "install() must be called once");
 
-    // Independent streams so a different mix draw never perturbs the
-    // arrival clock (and vice versa): pacing, population, and
-    // lifetimes each consume their own fork of the master seed.
+    // The whole plan is generated here, before the run, and never
+    // consults simulation state (open loop).
     stats::Rng master(cfg_.seed);
-    pacing_ = std::make_unique<stats::Rng>(master.fork());
-    factory_ =
-        std::make_unique<workload::WorkloadFactory>(master.fork());
-    lifetimes_ = std::make_unique<stats::Rng>(master.fork());
-    phases_ = std::make_unique<stats::Rng>(master.fork());
-
-    if (cfg_.arrivals == ArrivalKind::Pareto)
-        process_ = std::make_unique<tracegen::ParetoArrivals>(
-            cfg_.arrival_rate_per_s > 0.0
-                ? 1.0 / cfg_.arrival_rate_per_s
-                : 0.0,
-            cfg_.pareto_alpha);
-    else
-        process_ = std::make_unique<tracegen::PoissonArrivals>(
-            cfg_.arrival_rate_per_s);
-
-    if (cfg_.closed_loop) {
-        // Lazy generation: each pacing instant draws its arrival (or
-        // defers) with simulation-time knowledge of the probed depth.
-        if (cfg_.start_s < cfg_.horizon_s)
-            driver.events().schedule(cfg_.start_s,
-                                     [this]() { closedLoopStep(); });
-    } else {
-        // Open loop: the whole plan is generated here, before the
-        // run, and never consults simulation state.
-        double t = cfg_.start_s;
-        while (t < cfg_.horizon_s) {
-            emitArrival(t);
-            double gap = pacedGap(t);
-            if (!std::isfinite(gap))
-                break; // zero-rate process: the stream is over
-            t += gap;
-        }
+    Generator gen(cfg_, master, cluster, registry, driver, plan_,
+                  counts_);
+    double t = cfg_.start_s;
+    while (t < cfg_.horizon_s) {
+        gen.emitArrival(t);
+        double gap = gen.pacedGap(t);
+        if (!std::isfinite(gap))
+            break; // zero-rate process: the stream is over
+        t += gap;
     }
 
     if (cfg_.server_mttf_s > 0.0) {

@@ -48,6 +48,25 @@ constexpr double kMigrationFactor = 0.9;
 constexpr double kFailureBackoffS = 20.0;
 constexpr double kFailureBackoffMaxS = 160.0;
 
+/** The scale-up grid column nearest to a share's current size. */
+size_t
+nearestGridColumn(const WorkloadEstimate &est,
+                  const sim::TaskShare &share)
+{
+    size_t best_col = 0;
+    double best_score = 1e18;
+    for (size_t c = 0; c < est.scale_up_grid.size(); ++c) {
+        const auto &cfg = est.scale_up_grid[c];
+        double score = std::fabs(double(cfg.cores - share.cores)) +
+                       0.1 * std::fabs(cfg.memory_gb - share.memory_gb);
+        if (score < best_score) {
+            best_score = score;
+            best_col = c;
+        }
+    }
+    return best_col;
+}
+
 } // namespace
 
 QuasarManager::QuasarManager(sim::Cluster &cluster,
@@ -261,13 +280,8 @@ QuasarManager::applyAllocation(Workload &w, const Allocation &alloc,
                                double t)
 {
     // Evict best-effort residents first; they go back to the queue.
-    for (const auto &[sid, victim] : alloc.evictions) {
-        cluster_.server(sid).remove(victim);
-        ++stats_.evictions;
-        if (!registry_.get(victim).completed &&
-            !admission_.contains(victim))
-            admission_.enqueue(victim, t);
-    }
+    for (const auto &[sid, victim] : alloc.evictions)
+        evictAndRequeue(cluster_.server(sid), victim, t);
     w.active_knobs = alloc.knobs;
     for (const AllocationNode &node : alloc.nodes) {
         sim::TaskShare share;
@@ -284,6 +298,16 @@ QuasarManager::applyAllocation(Workload &w, const Allocation &alloc,
 }
 
 void
+QuasarManager::evictAndRequeue(sim::Server &srv, WorkloadId victim,
+                               double t)
+{
+    srv.remove(victim);
+    ++stats_.evictions;
+    if (!registry_.get(victim).completed && !admission_.contains(victim))
+        admission_.enqueue(victim, t);
+}
+
+void
 QuasarManager::releaseWorkload(WorkloadId id)
 {
     cluster_.removeEverywhere(id);
@@ -297,24 +321,12 @@ QuasarManager::predictCurrent(const Workload &w,
     for (ServerId sid : cluster_.serversHosting(w.id)) {
         const sim::Server &srv = cluster_.server(sid);
         const sim::TaskShare *share = srv.share(w.id);
-        size_t p_idx = scheduler_.platformIndexOf(srv);
-        // Nearest grid column for the current share.
-        size_t best_col = 0;
-        double best_score = 1e18;
-        for (size_t c = 0; c < est.scale_up_grid.size(); ++c) {
-            const auto &cfg = est.scale_up_grid[c];
-            double score =
-                std::fabs(double(cfg.cores - share->cores)) +
-                0.1 * std::fabs(cfg.memory_gb - share->memory_gb);
-            if (score < best_score) {
-                best_score = score;
-                best_col = c;
-            }
-        }
         double interf = est.interferenceMultiplier(
             srv.contentionFor(w.id), scheduler_.config().slope_guess);
-        node_perfs.push_back(est.nodePerf(p_idx, best_col) * interf *
-                             srv.speedFactor());
+        node_perfs.push_back(
+            est.nodePerf(srv.platformIndex(),
+                         nearestGridColumn(est, *share)) *
+            interf * srv.speedFactor());
     }
     return est.jobPerf(node_perfs);
 }
@@ -352,7 +364,7 @@ QuasarManager::tryScaleUp(Workload &w, const WorkloadEstimate &est,
             break;
         sim::Server &srv = cluster_.server(sid);
         const sim::TaskShare *share = srv.share(w.id);
-        size_t p_idx = scheduler_.platformIndexOf(srv);
+        size_t p_idx = srv.platformIndex();
 
         int budget_cores = share->cores + srv.coresFree();
         double budget_mem = share->memory_gb + srv.memoryFree();
@@ -401,11 +413,7 @@ QuasarManager::tryScaleUp(Workload &w, const WorkloadEstimate &est,
                     best_mem - share->memory_gb <=
                         srv.memoryFree() + 1e-9)
                     break;
-                srv.remove(victim);
-                ++stats_.evictions;
-                if (!registry_.get(victim).completed &&
-                    !admission_.contains(victim))
-                    admission_.enqueue(victim, t);
+                evictAndRequeue(srv, victim, t);
             }
             if (srv.resize(w.id, best_cores, best_mem)) {
                 changed = true;
@@ -523,7 +531,7 @@ QuasarManager::shrinkAllocation(Workload &w, const WorkloadEstimate &est,
     // size by value for the undo below.
     const int old_cores = share->cores;
     const double old_mem = share->memory_gb;
-    size_t p_idx = scheduler_.platformIndexOf(srv);
+    size_t p_idx = srv.platformIndex();
     double interf = est.interferenceMultiplier(
         srv.contentionFor(w.id), scheduler_.config().slope_guess);
     // Smallest config that still meets the per-node requirement,
@@ -591,20 +599,7 @@ QuasarManager::adjust(Workload &w, double t)
                 const sim::TaskShare *share =
                     cluster_.server(hosting.front()).share(w.id);
                 // Push the corrected column into history.
-                size_t col = 0;
-                double score = 1e18;
-                for (size_t c = 0; c < est.scale_up_grid.size(); ++c) {
-                    double s =
-                        std::fabs(double(est.scale_up_grid[c].cores -
-                                         share->cores)) +
-                        0.1 * std::fabs(
-                                  est.scale_up_grid[c].memory_gb -
-                                  share->memory_gb);
-                    if (s < score) {
-                        score = s;
-                        col = c;
-                    }
-                }
+                size_t col = nearestGridColumn(est, *share);
                 classifier_.feedbackScaleUp(est, col,
                                             est.scale_up_perf[col]);
             }

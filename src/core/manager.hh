@@ -162,6 +162,9 @@ class QuasarManager : public driver::ClusterManager
     void noteRecovered(WorkloadId id, double t);
     void applyAllocation(workload::Workload &w, const Allocation &alloc,
                          double t);
+    /** Evict victim from srv and requeue it unless it is done or
+     *  already queued. */
+    void evictAndRequeue(sim::Server &srv, WorkloadId victim, double t);
     void releaseWorkload(WorkloadId id);
     /** Predicted absolute perf of the current placement. */
     double predictCurrent(const workload::Workload &w,

@@ -1,7 +1,6 @@
 #include "core/overload.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 namespace quasar::core
@@ -26,20 +25,6 @@ constexpr double kKp = 0.8;
 constexpr double kKi = 0.05;
 
 } // namespace
-
-const char *
-overloadStateName(OverloadState s)
-{
-    switch (s) {
-    case OverloadState::Normal:
-        return "normal";
-    case OverloadState::Pressured:
-        return "pressured";
-    case OverloadState::Overloaded:
-        break;
-    }
-    return "overloaded";
-}
 
 OverloadDetector::OverloadDetector(const OverloadConfig &cfg)
     : cfg_(cfg), dwell_(3, size_t(OverloadState::Normal))
@@ -103,18 +88,8 @@ OverloadDetector::update(double t, double util, size_t depth)
 }
 
 double
-ReactiveStepPolicy::update(double error, double, double current)
+PiPolicy::update(double error, double dt)
 {
-    if (error > -kDeadband && error < kDeadband)
-        return current;
-    double next = current + (error > 0.0 ? kReactiveStep : -kReactiveStep);
-    return std::clamp(next, kBoostMin, kBoostMax);
-}
-
-double
-PiPolicy::update(double error, double dt, double current)
-{
-    (void)current;
     if (error > -kDeadband && error < kDeadband)
         error = 0.0; // deadband: no action, no integration
     // Conditional integration (anti-windup): freeze the integral
@@ -131,20 +106,6 @@ PiPolicy::update(double error, double dt, double current)
     integral_ = std::clamp(integral_, kBoostMin - 1.0, kBoostMax - 1.0);
     double out = 1.0 + kKp * error + integral_;
     return std::clamp(out, kBoostMin, kBoostMax);
-}
-
-std::unique_ptr<ScalingPolicy>
-makeScalingPolicy(const OverloadConfig &cfg)
-{
-    switch (cfg.policy) {
-    case ScalingPolicyKind::None:
-        return nullptr;
-    case ScalingPolicyKind::Reactive:
-        return std::make_unique<ReactiveStepPolicy>();
-    case ScalingPolicyKind::Pi:
-        break;
-    }
-    return std::make_unique<PiPolicy>();
 }
 
 OverloadController::OverloadController(const OverloadConfig &cfg)
@@ -272,14 +233,10 @@ OverloadController::updateBoost(WorkloadId id, double measured_norm,
     if (!cfg_.enabled || cfg_.policy == ScalingPolicyKind::None)
         return 1.0;
     ServiceControl &sc = services_[id];
-    if (!sc.policy) {
-        sc.policy = makeScalingPolicy(cfg_);
-        assert(sc.policy);
-    }
     double dt = sc.last_update >= 0.0 ? t - sc.last_update
                                       : cfg_.scale_interval_s;
     double error = kSloSetpoint - measured_norm;
-    sc.boost = sc.policy->update(error, dt, sc.boost);
+    sc.boost = sc.policy.update(error, dt);
     sc.last_update = t;
     ++counters_.autoscale_updates;
     fold(0x5CA1EULL);

@@ -30,8 +30,8 @@
  *     restored by the controller once the cluster returns to Normal.
  *
  *  4. A PerfEnforce-style autoscaler on the service model: per
- *     service, a pluggable scaling policy (reactive step, or PI with
- *     conditional-integration anti-windup) tracks an SLO setpoint on
+ *     service, a PI controller with conditional-integration
+ *     anti-windup tracks an SLO setpoint on
  *     the monitored normalized performance and outputs a demand boost
  *     multiplier applied to the service's required performance, which
  *     the existing adapt loop (scale up / out / shrink) then enacts.
@@ -49,7 +49,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 
 #include "common/types.hh"
 #include "stats/summary.hh"
@@ -66,14 +65,11 @@ enum class OverloadState
     Overloaded = 2,
 };
 
-const char *overloadStateName(OverloadState s);
-
 /** Which scaling policy drives the service autoscaler. */
 enum class ScalingPolicyKind
 {
-    None,     ///< autoscaler disabled (boost is always 1).
-    Reactive, ///< fixed step toward the setpoint per update.
-    Pi,       ///< PI control with anti-windup (PerfEnforce-style).
+    None, ///< autoscaler disabled (boost is always 1).
+    Pi,   ///< PI control with anti-windup (PerfEnforce-style).
 };
 
 /** All overload-control knobs (QuasarConfig::overload). */
@@ -134,8 +130,6 @@ inline constexpr int kBrownoutCores = 1;
 
 /** @name Scaling-policy constants */
 /// @{
-/** Reactive policy: boost step per update, in boost units. */
-inline constexpr double kReactiveStep = 0.25;
 /** Output clamp: boost multiplier on required performance. */
 inline constexpr double kBoostMin = 1.0;
 inline constexpr double kBoostMax = 3.0;
@@ -179,59 +173,32 @@ class OverloadDetector
 };
 
 /**
- * One service's scaling policy: maps the SLO tracking error to a new
- * demand-boost multiplier. Stateful (each service owns an instance);
- * the interface is the hook for learned policies later.
+ * One service's scaling policy, a PI controller with anti-windup: it
+ * maps the SLO tracking error to a new demand-boost multiplier
+ * boost = clamp(1 + kKp*e + I), where the integral term I accumulates
+ * kKi*e*dt only while the output is unsaturated or the error drives it
+ * back off the rail (conditional integration), and is itself clamped
+ * to the reachable output range — a long saturation episode therefore
+ * cannot wind the integral up, and recovery off the rail starts
+ * immediately.
  */
-class ScalingPolicy
+class PiPolicy
 {
   public:
-    virtual ~ScalingPolicy() = default;
-
     /**
      * One control step.
      * @param error setpoint - measured normalized performance
      *        (positive = underperforming).
      * @param dt seconds since the previous update.
-     * @param current the boost currently in effect.
      * @return the new boost, already clamped to [kBoostMin, kBoostMax].
      */
-    virtual double update(double error, double dt, double current) = 0;
-
-    virtual void reset() = 0;
-};
-
-/** Fixed-step reactive policy: +/- kReactiveStep toward the target. */
-class ReactiveStepPolicy : public ScalingPolicy
-{
-  public:
-    double update(double error, double dt, double current) override;
-    void reset() override {}
-};
-
-/**
- * PI controller with anti-windup: boost = clamp(1 + kKp*e + I), where
- * the integral term I accumulates kKi*e*dt only while the output is
- * unsaturated or the error drives it back off the rail (conditional
- * integration), and is itself clamped to the reachable output range —
- * a long saturation episode therefore cannot wind the integral up,
- * and recovery off the rail starts immediately.
- */
-class PiPolicy : public ScalingPolicy
-{
-  public:
-    double update(double error, double dt, double current) override;
-    void reset() override { integral_ = 0.0; }
+    double update(double error, double dt);
 
     double integral() const { return integral_; }
 
   private:
     double integral_ = 0.0;
 };
-
-/** Factory (the pluggable-policy seam); null for Kind::None. */
-std::unique_ptr<ScalingPolicy>
-makeScalingPolicy(const OverloadConfig &cfg);
 
 /** Counters the controller keeps (mirrored into QuasarStats). */
 struct OverloadCounters
@@ -335,11 +302,11 @@ class OverloadController
 
     OverloadConfig cfg_;
     OverloadDetector detector_;
-    /** Per-service policy instances + current boost. std::map keeps
+    /** Per-service policy state + current boost. std::map keeps
      *  every iteration (and hash fold order) deterministic. */
     struct ServiceControl
     {
-        std::unique_ptr<ScalingPolicy> policy;
+        PiPolicy policy;
         double boost = 1.0;
         double last_update = -1.0;
     };

@@ -50,32 +50,6 @@ constexpr int kMaxNodes = 100;
 /** Keep per-node configs within this fraction of the best one. */
 constexpr double kNodePerfSlack = 0.95;
 
-struct Evictable
-{
-    int cores = 0;
-    double memory_gb = 0.0;
-    double storage_gb = 0.0;
-};
-
-/**
- * Best-effort residents' totals in task order. The single source of
- * truth for this sum: the cache refresh and the full_rescan path both
- * call it, so the two decision paths see bitwise-identical values.
- */
-Evictable
-bestEffortTotals(const sim::Server &srv)
-{
-    Evictable e;
-    for (const sim::TaskShare &t : srv.tasks()) {
-        if (t.best_effort) {
-            e.cores += t.cores;
-            e.memory_gb += t.memory_gb;
-            e.storage_gb += t.storage_gb;
-        }
-    }
-    return e;
-}
-
 /** Strict-weak order for ranking: quality desc, id asc on ties. */
 bool
 rankedBefore(const std::pair<double, ServerId> &a,
@@ -161,31 +135,6 @@ chooseSocket(
 } // namespace
 
 void
-GreedyScheduler::rebuildPlatformIndex() const
-{
-    platform_idx_.clear();
-    const auto &catalog = cluster_.catalog();
-    for (size_t i = 0; i < catalog.size(); ++i)
-        platform_idx_[catalog[i].name] = i;
-    indexed_catalog_size_ = catalog.size();
-}
-
-size_t
-GreedyScheduler::platformIndexOf(const sim::Server &srv) const
-{
-    if (cluster_.catalog().size() != indexed_catalog_size_)
-        rebuildPlatformIndex();
-    auto it = platform_idx_.find(srv.platform().name);
-    if (it == platform_idx_.end()) {
-        // Catalog mutated without a size change; rebuild once.
-        rebuildPlatformIndex();
-        it = platform_idx_.find(srv.platform().name);
-        assert(it != platform_idx_.end());
-    }
-    return it->second;
-}
-
-void
 GreedyScheduler::refreshEntry(const sim::Server &srv,
                               ServerCacheEntry &e) const
 {
@@ -198,11 +147,18 @@ GreedyScheduler::refreshEntry(const sim::Server &srv,
     e.free_storage = srv.storageFree();
     e.speed = srv.speedFactor();
     e.available = srv.available();
-    Evictable be = bestEffortTotals(srv);
-    e.be_cores = be.cores;
-    e.be_mem = be.memory_gb;
-    e.be_storage = be.storage_gb;
-    e.platform_idx = platformIndexOf(srv);
+    // Best-effort residents' totals, summed in task order.
+    e.be_cores = 0;
+    e.be_mem = 0.0;
+    e.be_storage = 0.0;
+    for (const sim::TaskShare &t : srv.tasks()) {
+        if (t.best_effort) {
+            e.be_cores += t.cores;
+            e.be_mem += t.memory_gb;
+            e.be_storage += t.storage_gb;
+        }
+    }
+    e.platform_idx = srv.platformIndex();
     // Prio-class key: the lowest registry priority among non-best-
     // effort residents holding at least one core. priorityEvictable()
     // frees ≥ 1 core for workload w exactly when this key is strictly
@@ -251,15 +207,6 @@ GreedyScheduler::levelList(OrderLevel &lvl, FeasClass cls, int prio_key)
         break;
     }
     return lvl.closed;
-}
-
-void
-GreedyScheduler::refreshEntryIndexed(const sim::Server &srv,
-                                     ServerCacheEntry &e) const
-{
-    refreshEntry(srv, e);
-    if (orderMaintained())
-        orderPlace(srv.id(), e);
 }
 
 void
@@ -479,13 +426,21 @@ GreedyScheduler::nextOrderedCandidate(OrderStream &s,
 }
 
 const GreedyScheduler::ServerCacheEntry &
-GreedyScheduler::cachedState(const sim::Server &srv) const
+GreedyScheduler::entryFor(const sim::Server &srv) const
 {
+    if (cfg_.full_rescan) {
+        // The reference trusts no epoch: every read recomputes the
+        // view from live state.
+        refreshEntry(srv, fresh_);
+        return fresh_;
+    }
     if (cache_.size() < cluster_.size())
         cache_.resize(cluster_.size());
     ServerCacheEntry &e = cache_[size_t(srv.id())];
-    if (e.version != srv.version())
-        refreshEntryIndexed(srv, e);
+    if (e.version != srv.version()) {
+        refreshEntry(srv, e);
+        orderPlace(srv.id(), e);
+    }
     return e;
 }
 
@@ -493,20 +448,11 @@ void
 GreedyScheduler::refreshIndex() const
 {
     const sim::ChangeJournal &journal = cluster_.journal();
-    if (cache_.size() < cluster_.size())
-        cache_.resize(cluster_.size());
-    bool force = cluster_.catalog().size() != indexed_catalog_size_;
-    if (force)
-        rebuildPlatformIndex(); // platform indices may have moved
-    if (force || !index_primed_ || journal_cursor_ < journal.base()) {
-        // First use, a cursor compacted out of the journal, or a
-        // catalog change: fall back to a full epoch-check scan, once.
-        for (size_t i = 0; i < cluster_.size(); ++i) {
-            const sim::Server &srv = cluster_.server(ServerId(i));
-            ServerCacheEntry &e = cache_[i];
-            if (force || e.version != srv.version())
-                refreshEntryIndexed(srv, e);
-        }
+    if (!index_primed_ || journal_cursor_ < journal.base()) {
+        // First use or a cursor compacted out of the journal: fall
+        // back to a full epoch-check scan, once.
+        for (size_t i = 0; i < cluster_.size(); ++i)
+            entryFor(cluster_.server(ServerId(i)));
         index_primed_ = true;
     } else {
         // Incremental: replay only the servers touched since this
@@ -514,12 +460,8 @@ GreedyScheduler::refreshIndex() const
         // through the epoch compare (first replay refreshes, the rest
         // no-op).
         const uint64_t snapshot = journal.end();
-        for (uint64_t pos = journal_cursor_; pos < snapshot; ++pos) {
-            const sim::Server &srv = cluster_.server(journal.at(pos));
-            ServerCacheEntry &e = cache_[size_t(srv.id())];
-            if (e.version != srv.version())
-                refreshEntryIndexed(srv, e);
-        }
+        for (uint64_t pos = journal_cursor_; pos < snapshot; ++pos)
+            entryFor(cluster_.server(journal.at(pos)));
     }
     journal_cursor_ = journal.end();
 #ifdef QUASAR_VERIFY
@@ -539,6 +481,10 @@ GreedyScheduler::refreshIndex() const
 void
 GreedyScheduler::auditIndexCoherence() const
 {
+    // Nothing to audit before the first refreshIndex() primes the
+    // index (a full_rescan scheduler never does).
+    if (!index_primed_)
+        return;
     ++verify::counters().index_audits;
     size_t ordered_members = 0;
     for (size_t i = 0; i < cluster_.size(); ++i) {
@@ -577,104 +523,99 @@ GreedyScheduler::auditIndexCoherence() const
                          i);
             std::abort();
         }
-        if (orderMaintained() && index_primed_) {
-            // The maintained order must mirror the cache entry field
-            // for field: the server sits in exactly one bucket whose
-            // signature bitwise-matches its refreshed state.
-            uint32_t slot = i < server_bucket_.size()
-                                ? server_bucket_[i]
-                                : kNoBucket;
-            if (slot == kNoBucket) {
-                std::fprintf(stderr,
-                             "QUASAR_VERIFY: server %zu missing from "
-                             "the maintained candidate order — a "
-                             "mutation was not journaled or the order "
-                             "update was skipped\n",
-                             i);
-                std::abort();
-            }
-            const OrderBucket &b = order_buckets_[slot];
-            auto [fresh_cls, fresh_key] = feasibilityClass(fresh);
-            if (b.platform_idx != fresh.platform_idx ||
-                std::bit_cast<uint64_t>(b.speed) !=
-                    std::bit_cast<uint64_t>(fresh.speed) ||
-                b.sockets != fresh.sockets ||
-                b.socket_contention != fresh.socket_contention ||
-                b.cls != fresh_cls || b.prio_key != fresh_key ||
-                b.ids.count(ServerId(i)) == 0) {
-                std::fprintf(stderr,
-                             "QUASAR_VERIFY: order bucket for server "
-                             "%zu disagrees with its refreshed state "
-                             "(bucket platform %zu speed %.17g vs "
-                             "fresh platform %zu speed %.17g) — the "
-                             "incremental order is stale\n",
-                             i, b.platform_idx, b.speed,
-                             fresh.platform_idx, fresh.speed);
-                std::abort();
-            }
-        }
-    }
-    if (orderMaintained() && index_primed_) {
-        // Structural sweep: every level holds the buckets that claim
-        // it, level_pos back-references are exact, no bucket is empty,
-        // and the member total equals the cluster size (no ghost or
-        // duplicated entries).
-        for (size_t p = 0; p < platform_order_.size(); ++p) {
-            for (const auto &[speed, lvl] : platform_order_[p]) {
-                if (lvl.empty()) {
-                    std::fprintf(stderr,
-                                 "QUASAR_VERIFY: empty speed level "
-                                 "%.17g on platform %zu in the "
-                                 "maintained order\n",
-                                 speed, p);
-                    std::abort();
-                }
-                auto check_list =
-                    [&](const std::vector<uint32_t> &list,
-                        FeasClass cls, int prio_key) {
-                        for (size_t j = 0; j < list.size(); ++j) {
-                            const OrderBucket &b =
-                                order_buckets_[list[j]];
-                            if (b.platform_idx != p ||
-                                std::bit_cast<uint64_t>(b.speed) !=
-                                    std::bit_cast<uint64_t>(speed) ||
-                                b.cls != cls ||
-                                b.prio_key != prio_key ||
-                                b.level_pos != j || b.ids.empty()) {
-                                std::fprintf(
-                                    stderr,
-                                    "QUASAR_VERIFY: order bucket %u "
-                                    "misfiled under platform %zu "
-                                    "speed %.17g class %d\n",
-                                    list[j], p, speed, int(cls));
-                                std::abort();
-                            }
-                            ordered_members += b.ids.size();
-                        }
-                    };
-                check_list(lvl.open, FeasClass::Open, kNoPrio);
-                check_list(lvl.evict, FeasClass::Evict, kNoPrio);
-                for (const auto &[key, list] : lvl.prio) {
-                    if (list.empty()) {
-                        std::fprintf(stderr,
-                                     "QUASAR_VERIFY: empty prio-class "
-                                     "list (key %d) on platform %zu "
-                                     "speed %.17g\n",
-                                     key, p, speed);
-                        std::abort();
-                    }
-                    check_list(list, FeasClass::Prio, key);
-                }
-                check_list(lvl.closed, FeasClass::Closed, kNoPrio);
-            }
-        }
-        if (ordered_members != cluster_.size()) {
+        // The maintained order must mirror the cache entry field
+        // for field: the server sits in exactly one bucket whose
+        // signature bitwise-matches its refreshed state.
+        uint32_t slot =
+            i < server_bucket_.size() ? server_bucket_[i] : kNoBucket;
+        if (slot == kNoBucket) {
             std::fprintf(stderr,
-                         "QUASAR_VERIFY: maintained order holds %zu "
-                         "members for %zu servers\n",
-                         ordered_members, cluster_.size());
+                         "QUASAR_VERIFY: server %zu missing from "
+                         "the maintained candidate order — a "
+                         "mutation was not journaled or the order "
+                         "update was skipped\n",
+                         i);
             std::abort();
         }
+        const OrderBucket &b = order_buckets_[slot];
+        auto [fresh_cls, fresh_key] = feasibilityClass(fresh);
+        if (b.platform_idx != fresh.platform_idx ||
+            std::bit_cast<uint64_t>(b.speed) !=
+                std::bit_cast<uint64_t>(fresh.speed) ||
+            b.sockets != fresh.sockets ||
+            b.socket_contention != fresh.socket_contention ||
+            b.cls != fresh_cls || b.prio_key != fresh_key ||
+            b.ids.count(ServerId(i)) == 0) {
+            std::fprintf(stderr,
+                         "QUASAR_VERIFY: order bucket for server "
+                         "%zu disagrees with its refreshed state "
+                         "(bucket platform %zu speed %.17g vs "
+                         "fresh platform %zu speed %.17g) — the "
+                         "incremental order is stale\n",
+                         i, b.platform_idx, b.speed,
+                         fresh.platform_idx, fresh.speed);
+            std::abort();
+        }
+    }
+    // Structural sweep: every level holds the buckets that claim
+    // it, level_pos back-references are exact, no bucket is empty,
+    // and the member total equals the cluster size (no ghost or
+    // duplicated entries).
+    for (size_t p = 0; p < platform_order_.size(); ++p) {
+        for (const auto &[speed, lvl] : platform_order_[p]) {
+            if (lvl.empty()) {
+                std::fprintf(stderr,
+                             "QUASAR_VERIFY: empty speed level "
+                             "%.17g on platform %zu in the "
+                             "maintained order\n",
+                             speed, p);
+                std::abort();
+            }
+            auto check_list =
+                [&](const std::vector<uint32_t> &list,
+                    FeasClass cls, int prio_key) {
+                    for (size_t j = 0; j < list.size(); ++j) {
+                        const OrderBucket &b =
+                            order_buckets_[list[j]];
+                        if (b.platform_idx != p ||
+                            std::bit_cast<uint64_t>(b.speed) !=
+                                std::bit_cast<uint64_t>(speed) ||
+                            b.cls != cls ||
+                            b.prio_key != prio_key ||
+                            b.level_pos != j || b.ids.empty()) {
+                            std::fprintf(
+                                stderr,
+                                "QUASAR_VERIFY: order bucket %u "
+                                "misfiled under platform %zu "
+                                "speed %.17g class %d\n",
+                                list[j], p, speed, int(cls));
+                            std::abort();
+                        }
+                        ordered_members += b.ids.size();
+                    }
+                };
+            check_list(lvl.open, FeasClass::Open, kNoPrio);
+            check_list(lvl.evict, FeasClass::Evict, kNoPrio);
+            for (const auto &[key, list] : lvl.prio) {
+                if (list.empty()) {
+                    std::fprintf(stderr,
+                                 "QUASAR_VERIFY: empty prio-class "
+                                 "list (key %d) on platform %zu "
+                                 "speed %.17g\n",
+                                 key, p, speed);
+                    std::abort();
+                }
+                check_list(list, FeasClass::Prio, key);
+            }
+            check_list(lvl.closed, FeasClass::Closed, kNoPrio);
+        }
+    }
+    if (ordered_members != cluster_.size()) {
+        std::fprintf(stderr,
+                     "QUASAR_VERIFY: maintained order holds %zu "
+                     "members for %zu servers\n",
+                     ordered_members, cluster_.size());
+        std::abort();
     }
 }
 #endif
@@ -717,22 +658,16 @@ double
 GreedyScheduler::serverQuality(const sim::Server &srv,
                                const WorkloadEstimate &est) const
 {
+    return qualityOf(entryFor(srv), est);
+}
+
+double
+GreedyScheduler::qualityOf(const ServerCacheEntry &e,
+                           const WorkloadEstimate &est) const
+{
     // Quality = platform speedup x predicted interference multiplier.
     // Degraded machines rank (and predict) proportionally lower; a
     // down machine is worth nothing.
-    if (cfg_.full_rescan) {
-        double pf = est.platform_factor[platformIndexOf(srv)];
-        sim::Server::SocketSnapshot snap = srv.socketSnapshot();
-        double im = bestSocketMultiplier(est, snap.contention,
-                                         snap.sockets,
-                                         cfg_.slope_guess);
-        return pf * im * srv.speedFactor();
-    }
-    // Public entry point (the manager scores live placements with it
-    // between decisions): replay the journal first so the entry
-    // reflects any mutation since the last refresh.
-    refreshIndex();
-    const ServerCacheEntry &e = cache_[size_t(srv.id())];
     double pf = est.platform_factor[e.platform_idx];
     double im = bestSocketMultiplier(est, e.socket_contention, e.sockets,
                                      cfg_.slope_guess);
@@ -744,7 +679,7 @@ GreedyScheduler::rankedCandidates(const WorkloadEstimate &est) const
 {
     std::vector<std::pair<double, ServerId>> out;
     out.reserve(cluster_.size());
-    if (orderMaintained()) {
+    if (!cfg_.full_rescan) {
         // Drain the maintained order best-first: the emitted sequence
         // is the incremental structure's full view, which tests
         // compare against a from-scratch sort by rankedBefore.
@@ -770,54 +705,26 @@ GreedyScheduler::pickNodeConfig(const sim::Server &srv, const Workload &w,
                                 double perf_needed) const
 {
     NodePick pick;
-    size_t p_idx;
-    int free_cores;
-    double free_mem, free_storage, interf;
+    const ServerCacheEntry &e = entryFor(srv);
+    const size_t p_idx = e.platform_idx;
+    int free_cores = e.free_cores;
+    double free_mem = e.free_mem;
+    double free_storage = e.free_storage;
     // The socket-selection step: the greedy walk picks (server,
     // socket), predicting node perf from the chosen socket's view.
     // Flat servers always choose socket 0, reproducing the
     // pre-topology multiplier bit for bit.
-    if (cfg_.full_rescan) {
-        p_idx = platformIndexOf(srv);
-        free_cores = srv.coresFree();
-        free_mem = srv.memoryFree();
-        free_storage = srv.storageFree();
-        sim::Server::SocketSnapshot snap = srv.socketSnapshot();
-        pick.socket =
-            chooseSocket(est, snap.contention, snap.cores_homed,
-                         snap.sockets, cfg_.socket_aware,
-                         cfg_.slope_guess);
-        interf = est.interferenceMultiplier(
-                     snap.contention[size_t(pick.socket)],
-                     cfg_.slope_guess) *
-                 srv.speedFactor();
-        if (count_evictable) {
-            Evictable be = bestEffortTotals(srv);
-            free_cores += be.cores;
-            free_mem += be.memory_gb;
-            free_storage += be.storage_gb;
-        }
-    } else {
-        const ServerCacheEntry &e = cachedState(srv);
-        p_idx = e.platform_idx;
-        free_cores = e.free_cores;
-        free_mem = e.free_mem;
-        free_storage = e.free_storage;
-        pick.socket =
-            chooseSocket(est, e.socket_contention, e.socket_cores,
-                         e.sockets, cfg_.socket_aware,
-                         cfg_.slope_guess);
-        interf = est.interferenceMultiplier(
-                     e.socket_contention[size_t(pick.socket)],
-                     cfg_.slope_guess) *
-                 e.speed;
-        if (count_evictable) {
-            free_cores += e.be_cores;
-            free_mem += e.be_mem;
-            free_storage += e.be_storage;
-        }
-    }
+    pick.socket = chooseSocket(est, e.socket_contention, e.socket_cores,
+                               e.sockets, cfg_.socket_aware,
+                               cfg_.slope_guess);
+    const double interf =
+        est.interferenceMultiplier(
+            e.socket_contention[size_t(pick.socket)], cfg_.slope_guess) *
+        e.speed;
     if (count_evictable) {
+        free_cores += e.be_cores;
+        free_mem += e.be_mem;
+        free_storage += e.be_storage;
         priorityEvictable(srv, w, free_cores, free_mem, free_storage);
     }
     if (free_cores < 1 || free_storage < w.storage_gb_per_node)
@@ -963,7 +870,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
     // buckets).
     std::vector<std::pair<double, ServerId>> ranked;
     OrderStream stream;
-    const bool dirty = orderMaintained();
+    const bool dirty = !cfg_.full_rescan;
     {
         stats::ScopedTimer timer(timing_.rank);
         if (dirty) {
@@ -983,20 +890,20 @@ GreedyScheduler::allocateImpl(const Workload &w,
             ranked.reserve(cluster_.size());
             for (size_t i = 0; i < cluster_.size(); ++i) {
                 const sim::Server &srv = cluster_.server(ServerId(i));
-                bool avail = srv.available();
-                int free = srv.coresFree();
-                if (avail && may_evict)
-                    free += bestEffortTotals(srv).cores;
+                const ServerCacheEntry &e = entryFor(srv);
+                int free = e.free_cores;
+                if (e.available && may_evict)
+                    free += e.be_cores;
                 // The resident-ledger walk only ADDS evictable
                 // capacity and the filter below is `free < 1`, so a
                 // server already over the bar never needs it.
-                if (avail && free < 1 && may_evict && registry_) {
+                if (e.available && free < 1 && may_evict && registry_) {
                     double pm = 0.0, ps = 0.0;
                     priorityEvictable(srv, w, free, pm, ps);
                 }
-                if (!avail || free < 1)
+                if (!e.available || free < 1)
                     continue; // down machines accept no placements
-                ranked.emplace_back(serverQuality(srv, est), ServerId(i));
+                ranked.emplace_back(qualityOf(e, est), ServerId(i));
             }
             std::sort(ranked.begin(), ranked.end(), rankedBefore);
         }
@@ -1088,23 +995,12 @@ GreedyScheduler::allocateImpl(const Workload &w,
                 // Keep one knob setting across the job: re-scan
                 // restricted to matching columns by rejecting
                 // mismatches.
-                size_t p_idx = platformIndexOf(srv);
-                double interf;
-                if (cfg_.full_rescan) {
-                    sim::Server::SocketSnapshot snap =
-                        srv.socketSnapshot();
-                    interf = est.interferenceMultiplier(
-                                 snap.contention[size_t(pick.socket)],
-                                 cfg_.slope_guess) *
-                             srv.speedFactor();
-                } else {
-                    const ServerCacheEntry &e = cachedState(srv);
-                    interf =
-                        est.interferenceMultiplier(
-                            e.socket_contention[size_t(pick.socket)],
-                            cfg_.slope_guess) *
-                        e.speed;
-                }
+                const ServerCacheEntry &e = entryFor(srv);
+                const double interf =
+                    est.interferenceMultiplier(
+                        e.socket_contention[size_t(pick.socket)],
+                        cfg_.slope_guess) *
+                    e.speed;
                 bool fixed = false;
                 for (size_t c = 0; c < est.scale_up_grid.size(); ++c) {
                     const auto &cfg = est.scale_up_grid[c];
@@ -1114,7 +1010,7 @@ GreedyScheduler::allocateImpl(const Workload &w,
                         cfg.memory_gb != pick.memory_gb)
                         continue;
                     pick.col = c;
-                    pick.perf = est.nodePerf(p_idx, c) * interf;
+                    pick.perf = est.nodePerf(e.platform_idx, c) * interf;
                     fixed = true;
                     break;
                 }
@@ -1149,16 +1045,9 @@ GreedyScheduler::allocateImpl(const Workload &w,
             // spreading pass, or the same share would be consumed
             // twice in one schedule call.
             std::vector<std::pair<ServerId, WorkloadId>> planned;
-            int base_free_cores;
-            double base_free_mem;
-            if (cfg_.full_rescan) {
-                base_free_cores = srv.coresFree();
-                base_free_mem = srv.memoryFree();
-            } else {
-                const ServerCacheEntry &e = cachedState(srv);
-                base_free_cores = e.free_cores;
-                base_free_mem = e.free_mem;
-            }
+            const ServerCacheEntry &e = entryFor(srv);
+            const int base_free_cores = e.free_cores;
+            const double base_free_mem = e.free_mem;
             if (may_evict && (pick.cores > base_free_cores ||
                               pick.memory_gb > base_free_mem + 1e-9)) {
                 int need_cores = pick.cores - base_free_cores;

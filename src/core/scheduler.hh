@@ -13,10 +13,10 @@
  * Best-effort residents may be marked for eviction to make room for
  * primary workloads.
  *
- * Decision-path performance: the platform-name→catalog-index map is
- * built once per cluster, and each server's newcomer-contention
- * ledger summary, free capacity, and health are kept in a per-server
- * index revalidated against the server's change epoch
+ * Every per-server read of the decision path (platform index,
+ * newcomer-contention summary, free capacity, health) goes through one
+ * view, entryFor(). In the default mode it is a per-server index
+ * revalidated against the server's change epoch
  * (sim::Server::version()) instead of being recomputed per placement.
  *
  * Two ranking modes, both picking bit-identical placements:
@@ -35,8 +35,9 @@
  *    O(dirty + E + k log B) where E is the buckets in the few
  *    expanded top levels and B ≤ N the live bucket count — never an
  *    O(N) scoring walk or heapify.
- *  - full_rescan: the legacy recompute-everything path (full ledger
- *    walks, eager sort), kept only as the reference: the
+ *  - full_rescan: the recompute-everything path (every read of the
+ *    server view recomputed from live state, eager score-and-sort),
+ *    kept only as the reference: the
  *    QUASAR_VERIFY shadow oracle, the equivalence tests and the
  *    benches' referee legs re-run decisions through it; production
  *    configs must not set it.
@@ -51,7 +52,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -162,7 +162,6 @@ class GreedyScheduler
                     const workload::WorkloadRegistry *registry = nullptr)
         : cluster_(cluster), cfg_(cfg), registry_(registry)
     {
-        rebuildPlatformIndex();
     }
 
     /**
@@ -193,12 +192,6 @@ class GreedyScheduler
      */
     double serverQuality(const sim::Server &srv,
                          const WorkloadEstimate &est) const;
-
-    /**
-     * Catalog index of the server's platform from the cached
-     * name→index map (rebuilt automatically if the catalog changed).
-     */
-    size_t platformIndexOf(const sim::Server &srv) const;
 
     const SchedulerConfig &config() const { return cfg_; }
 
@@ -282,8 +275,8 @@ class GreedyScheduler
                                      interference::kNumSources>;
 
     /**
-     * Per-server cached decision state, revalidated lazily against
-     * the server's change epoch (incremental ranking index).
+     * Per-server decision state: the one view of a server the scoring
+     * and sizing reads use (see entryFor()).
      */
     struct ServerCacheEntry
     {
@@ -304,8 +297,7 @@ class GreedyScheduler
         int be_cores = 0;
         double be_mem = 0.0;
         double be_storage = 0.0;
-        /** Catalog index of the server's platform (fixed per server;
-         *  cached so the dirty walk never hashes a name). */
+        /** Catalog index of the server's platform. */
         size_t platform_idx = 0;
         /** Minimum priority over non-best-effort residents holding at
          *  least one core and known to the registry (kNoPrio when
@@ -420,22 +412,22 @@ class GreedyScheduler
         OrderFilter filter;
     };
 
-    /** Recompute e from srv's current state (all modes share this, so
-     *  the decision paths see bitwise-identical values). */
+    /** Recompute e from srv's current state (both modes read through
+     *  this, so the decision paths see bitwise-identical values). */
     void refreshEntry(const sim::Server &srv, ServerCacheEntry &e) const;
 
-    /** refreshEntry + incremental-order maintenance (dirty mode). */
-    void refreshEntryIndexed(const sim::Server &srv,
-                             ServerCacheEntry &e) const;
+    /**
+     * The server view. Dirty mode: the cached entry, refreshed (and
+     * moved in the maintained order) when the server's epoch moved.
+     * full_rescan: recomputed from live state on every call into one
+     * scratch entry, so the reference is only valid until the next
+     * call.
+     */
+    const ServerCacheEntry &entryFor(const sim::Server &srv) const;
 
-    /** Cached state for srv, refreshed if its epoch moved. */
-    const ServerCacheEntry &cachedState(const sim::Server &srv) const;
-
-    /** True when this scheduler maintains the incremental order. */
-    bool orderMaintained() const
-    {
-        return !cfg_.full_rescan;
-    }
+    /** Quality of a server view for one estimate (serverQuality). */
+    double qualityOf(const ServerCacheEntry &e,
+                     const WorkloadEstimate &est) const;
 
     /** Move id into the bucket matching e (no-op when unchanged). */
     void orderPlace(ServerId id, const ServerCacheEntry &e) const;
@@ -492,9 +484,6 @@ class GreedyScheduler
     void auditIndexCoherence() const;
 #endif
 
-    /** Rebuild the platform-name→index map from the catalog. */
-    void rebuildPlatformIndex() const;
-
     /**
      * Extra evictable capacity from priority preemption (residents of
      * strictly lower priority than w, excluding best-effort tasks,
@@ -534,11 +523,10 @@ class GreedyScheduler
     SchedulerConfig cfg_;
     const workload::WorkloadRegistry *registry_;
 
-    /** Platform-name→catalog-index map, built once per catalog. */
-    mutable std::unordered_map<std::string, size_t> platform_idx_;
-    mutable size_t indexed_catalog_size_ = 0;
-    /** The incremental per-server ranking index. */
+    /** The incremental per-server ranking index (dirty mode). */
     mutable std::vector<ServerCacheEntry> cache_;
+    /** full_rescan's scratch view (see entryFor()). */
+    mutable ServerCacheEntry fresh_;
     /** Dirty-mode journal cursor (next journal offset to replay). */
     mutable uint64_t journal_cursor_ = 0;
     /** True once the dirty-mode index fully covers the cluster. */

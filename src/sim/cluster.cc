@@ -17,7 +17,7 @@ Cluster::Cluster(const std::vector<Platform> &catalog,
         for (int k = 0; k < counts[i]; ++k) {
             int zone = int(next) % num_fault_zones_;
             servers_.push_back(
-                std::make_unique<Server>(next++, catalog[i], zone));
+                std::make_unique<Server>(next++, catalog[i], i, zone));
             total_cores_ += catalog[i].cores;
             total_memory_ += catalog[i].memory_gb;
             total_storage_ += catalog[i].storage_gb;
@@ -92,16 +92,6 @@ Cluster::aliveCores() const
         if (s->available())
             n += s->platform().cores;
     return n;
-}
-
-double
-Cluster::aliveMemoryGb() const
-{
-    double m = 0.0;
-    for (const auto &s : servers_)
-        if (s->available())
-            m += s->platform().memory_gb;
-    return m;
 }
 
 std::vector<ServerId>

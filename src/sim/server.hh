@@ -78,10 +78,18 @@ struct TaskShare
 class Server
 {
   public:
-    Server(ServerId id, const Platform &platform, int fault_zone = 0);
+    /**
+     * @param platform_index position of `platform` in the owning
+     *        cluster's catalog (estimates index their per-platform
+     *        columns by it).
+     */
+    Server(ServerId id, const Platform &platform, size_t platform_index,
+           int fault_zone = 0);
 
     ServerId id() const { return id_; }
     const Platform &platform() const { return platform_; }
+    /** Catalog index of the platform (fixed at construction). */
+    size_t platformIndex() const { return platform_index_; }
     /** Failure-domain id (rack/PDU); Sec. 4.4 fault zones. */
     int faultZone() const { return fault_zone_; }
 
@@ -300,6 +308,7 @@ class Server
 
     ServerId id_;
     Platform platform_;
+    size_t platform_index_ = 0;
     int fault_zone_ = 0;
     ServerState state_ = ServerState::Up;
     double speed_factor_ = 1.0;

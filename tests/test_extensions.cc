@@ -290,7 +290,7 @@ TEST(LoadPredictor, ColdStartReturnsLastValue)
 TEST(Partitioning, IsolationShieldsBothDirections)
 {
     auto catalog = sim::localPlatforms();
-    sim::Server srv(0, catalog[9]);
+    sim::Server srv(0, catalog[9], 9);
     sim::TaskShare noisy;
     noisy.workload = 1;
     noisy.cores = 8;

@@ -13,7 +13,6 @@
 
 #include "stats/rng.hh"
 
-#include "linalg/completion.hh"
 #include "linalg/matrix.hh"
 #include "linalg/pq_model.hh"
 #include "linalg/svd.hh"
@@ -284,25 +283,6 @@ TEST(PqModel, FoldInRecoversRow)
     EXPECT_LT(err / double(cols), 0.6);
 }
 
-TEST(Completion, PreservesObservedEntries)
-{
-    Matrix truth = lowRank(10, 8, 2, 31);
-    MaskedMatrix obs(10, 8);
-    quasar::stats::Rng rng(32);
-    std::bernoulli_distribution keep(0.5);
-    for (size_t i = 0; i < 10; ++i)
-        for (size_t j = 0; j < 8; ++j)
-            if (keep(rng.engine()))
-                obs.set(i, j, truth.at(i, j));
-    MatrixCompletion comp;
-    Matrix full = comp.complete(obs);
-    for (size_t i = 0; i < 10; ++i)
-        for (size_t j = 0; j < 8; ++j)
-            if (obs.observed(i, j)) {
-                EXPECT_DOUBLE_EQ(full.at(i, j), obs.value(i, j));
-            }
-}
-
 TEST(Completion, RowCompletionAgainstDenseHistory)
 {
     Matrix truth = lowRank(21, 12, 2, 41);
@@ -313,9 +293,10 @@ TEST(Completion, RowCompletionAgainstDenseHistory)
     PqConfig cfg;
     cfg.rank = 4;
     cfg.max_epochs = 500;
-    MatrixCompletion comp(cfg);
-    std::vector<double> row = comp.completeRow(
-        hist, {0, 5}, {truth.at(20, 0), truth.at(20, 5)});
+    PqModel model(cfg);
+    model.fit(hist);
+    std::vector<double> row =
+        model.foldInRow({{0, truth.at(20, 0)}, {5, truth.at(20, 5)}});
     double err = 0.0;
     for (size_t j = 0; j < 12; ++j)
         err += std::fabs(row[j] - truth.at(20, j));

@@ -105,7 +105,7 @@ TEST(TruthEdge, CapacityQpsScalesInverselyWithCost)
 TEST(ServerEdge, StorageBindsPlacement)
 {
     auto catalog = sim::localPlatforms();
-    sim::Server srv(0, catalog[0]); // A: 250 GB storage
+    sim::Server srv(0, catalog[0], 0); // A: 250 GB storage
     EXPECT_TRUE(srv.canFit(1, 1.0, 250.0));
     EXPECT_FALSE(srv.canFit(1, 1.0, 251.0));
     sim::TaskShare s;

@@ -188,21 +188,6 @@ TEST(OverloadController, ShedFirstPriorityOrdering)
 // Scaling policies
 // ---------------------------------------------------------------
 
-TEST(ScalingPolicy, ReactiveStepsTowardSetpointAndClamps)
-{
-    core::ReactiveStepPolicy p;
-    double b = 1.0;
-    b = p.update(0.5, 30.0, b);
-    EXPECT_DOUBLE_EQ(b, 1.25);
-    b = p.update(0.01, 30.0, b); // inside deadband: hold
-    EXPECT_DOUBLE_EQ(b, 1.25);
-    for (int i = 0; i < 20; ++i)
-        b = p.update(1.0, 30.0, b);
-    EXPECT_DOUBLE_EQ(b, core::kBoostMax);
-    b = p.update(-1.0, 30.0, b);
-    EXPECT_DOUBLE_EQ(b, core::kBoostMax - core::kReactiveStep);
-}
-
 TEST(ScalingPolicy, PiAntiWindupRecoversImmediately)
 {
     core::PiPolicy pi; // kKp=0.8 kKi=0.05 kBoostMax=3
@@ -212,28 +197,35 @@ TEST(ScalingPolicy, PiAntiWindupRecoversImmediately)
     // the integral at the reachable range instead of winding up
     // (naive integration would accumulate kKi*e*dt = 3.0 per step).
     for (int i = 0; i < 50; ++i)
-        b = pi.update(2.0, 30.0, b);
+        b = pi.update(2.0, 30.0);
     EXPECT_DOUBLE_EQ(b, core::kBoostMax);
     EXPECT_LE(pi.integral(), core::kBoostMax - 1.0 + 1e-12);
     // The moment the error reverses, the output must leave the rail
     // in ONE step — that is the whole point of anti-windup.
-    double recovered = pi.update(-1.0, 30.0, b);
+    double recovered = pi.update(-1.0, 30.0);
     EXPECT_LT(recovered, core::kBoostMax);
 }
 
 TEST(ScalingPolicy, FactoryHonorsKind)
 {
+    // None keeps every boost at 1.0 however far the service lags; Pi
+    // moves it.
     OverloadConfig oc;
+    oc.enabled = true;
     oc.policy = core::ScalingPolicyKind::None;
-    EXPECT_EQ(core::makeScalingPolicy(oc), nullptr);
-    oc.policy = core::ScalingPolicyKind::Reactive;
-    EXPECT_NE(dynamic_cast<core::ReactiveStepPolicy *>(
-                  core::makeScalingPolicy(oc).get()),
-              nullptr);
+    core::OverloadController off(oc);
+    EXPECT_FALSE(off.beginScaleRound(0.0));
+    EXPECT_DOUBLE_EQ(off.updateBoost(1, 0.5, 0.0), 1.0);
+    EXPECT_DOUBLE_EQ(off.boostFor(1), 1.0);
+    EXPECT_EQ(off.counters().autoscale_updates, 0u);
+
     oc.policy = core::ScalingPolicyKind::Pi;
-    EXPECT_NE(dynamic_cast<core::PiPolicy *>(
-                  core::makeScalingPolicy(oc).get()),
-              nullptr);
+    core::OverloadController pi(oc);
+    EXPECT_TRUE(pi.beginScaleRound(0.0));
+    double boost = pi.updateBoost(1, 0.5, 0.0);
+    EXPECT_GT(boost, 1.0);
+    EXPECT_DOUBLE_EQ(pi.boostFor(1), boost);
+    EXPECT_EQ(pi.counters().autoscale_updates, 1u);
 }
 
 // ---------------------------------------------------------------

@@ -173,7 +173,8 @@ Server
 makeServer(char name = 'J')
 {
     auto catalog = localPlatforms();
-    return Server(0, platformByName(catalog, std::string(1, name)));
+    const Platform &p = platformByName(catalog, std::string(1, name));
+    return Server(0, p, size_t(&p - catalog.data()));
 }
 
 sim::TaskShare
@@ -285,6 +286,37 @@ TEST(Cluster, Ec2BuilderHas200Servers)
 {
     Cluster c = Cluster::ec2Cluster();
     EXPECT_EQ(c.size(), 200u);
+}
+
+TEST(Cluster, ServerPlatformIndexIsCatalogPosition)
+{
+    // Estimates index their per-platform columns by the catalog
+    // position of a server's platform; the server carries it. Names
+    // are unique in every catalog, so it equals a name lookup.
+    auto check = [](const Cluster &c) {
+        const auto &catalog = c.catalog();
+        std::vector<size_t> seen(catalog.size(), 0);
+        for (size_t i = 0; i < c.size(); ++i) {
+            const Server &srv = c.server(ServerId(i));
+            size_t by_name = 0, matches = 0;
+            for (size_t p = 0; p < catalog.size(); ++p) {
+                if (catalog[p].name == srv.platform().name) {
+                    by_name = p;
+                    ++matches;
+                }
+            }
+            ASSERT_EQ(matches, 1u) << srv.platform().name;
+            EXPECT_EQ(srv.platformIndex(), by_name) << "server " << i;
+            ++seen[srv.platformIndex()];
+        }
+        for (size_t p = 0; p < catalog.size(); ++p)
+            EXPECT_EQ(seen[p], c.serversOfPlatform(catalog[p].name).size())
+                << catalog[p].name;
+    };
+    check(Cluster::localCluster());
+    check(Cluster::ec2Cluster());
+    auto numa = numaPlatforms();
+    check(Cluster(numa, std::vector<int>(numa.size(), 3)));
 }
 
 TEST(Cluster, HostingAndRemoveEverywhere)

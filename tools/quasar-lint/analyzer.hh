@@ -26,7 +26,7 @@
  *    silently diverge.
  *  - decision-purity: the float-eq / unordered-iter determinism rules
  *    applied to the call-graph cone reachable from
- *    GreedyScheduler::allocate / refreshIndex / refreshEntryIndexed,
+ *    GreedyScheduler::allocate / refreshIndex / entryFor,
  *    catching helpers pulled onto the decision path from directories
  *    the kDecisionDirs list never covered. (unseeded-rng / wallclock
  *    already apply tree-wide — a strict superset of the cone.)

@@ -14,5 +14,5 @@ class GreedyScheduler
         iterHelper();
         toleratedHelper();
     }
-    void refreshEntryIndexed() { chainHelper(); }
+    void entryFor() { chainHelper(); }
 };

@@ -513,7 +513,7 @@ journaledScope(const std::string &path)
 const char *const kConeEntries[] = {
     "GreedyScheduler::allocate",
     "GreedyScheduler::refreshIndex",
-    "GreedyScheduler::refreshEntryIndexed",
+    "GreedyScheduler::entryFor",
 };
 
 } // namespace
@@ -995,7 +995,7 @@ Analyzer::ruleDecisionPurity(std::vector<Finding> &out)
                              "', reachable from the scheduler "
                              "decision cone (GreedyScheduler::"
                              "allocate/refreshIndex/"
-                             "refreshEntryIndexed); compare with a "
+                             "entryFor); compare with a "
                              "tolerance or restructure"});
                 });
                 std::string which;
