@@ -22,8 +22,8 @@
  *
  * Per leg the bench reports the services' QoS-violation rate, the
  * fraction of latency-critical cores homed on socket 0 (the mechanism
- * behind the headline number), and the per-tick placement hash with
- * the share's home socket folded in.
+ * behind the headline number), and the per-tick placement hash
+ * (bench::foldCluster, which folds in each share's home socket).
  *
  * Gates (exit 1):
  *  - replay: the thrash aware leg re-run under the full_rescan
@@ -33,22 +33,19 @@
  *    on the thrash scenario;
  *  - baseline (with --baseline): the aware thrash leg must stay
  *    within --max-regression (absolute) of the committed
- *    BENCH_topology.json's qos_violation_rate.
+ *    BENCH_topology.json's qos_violation_rate, and its placement hash
+ *    must equal the committed one.
  *
  * `--smoke` is the CI variant: the thrash scenario only. The full run
  * adds the bandwidth scenario legs.
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
-#include "core/manager.hh"
-#include "driver/scenario.hh"
 
 using namespace quasar;
 
@@ -56,6 +53,7 @@ namespace
 {
 
 constexpr double kHorizon = 600.0;
+constexpr int kServers = 8;
 
 /** Cluster of the 2-socket preset (16 cores, 8 per socket). */
 sim::Cluster
@@ -81,66 +79,23 @@ thrasherPressure()
     return v;
 }
 
-struct LegMetrics
+/** The workloads a scenario added. */
+struct Scenario
 {
-    size_t services = 0;
-    double qos_violation_rate = 0.0;
-    /** Mean fraction of latency-critical cores homed on socket 0. */
-    double lc_socket0_core_frac = 0.0;
-    size_t be_completed = 0;
-    /** Best-effort cores resident at the final sampled tick. */
-    int be_cores_final = 0;
-    uint64_t placement_hash = 0;
+    std::vector<WorkloadId> services; ///< latency-critical.
+    std::vector<WorkloadId> fillers;  ///< best-effort.
 };
 
-/** Fold the cluster's full allocation state into a running FNV-1a. */
-void
-hashClusterState(const sim::Cluster &cluster, uint64_t &h)
+/**
+ * Thrash scenario: one memcached service per machine on top of a
+ * stream of LLC-noisy best-effort fillers.
+ */
+Scenario
+addThrash(workload::WorkloadRegistry &registry,
+          driver::ScenarioDriver &drv, int servers)
 {
-    auto fold = [&h](uint64_t v) {
-        h ^= v;
-        h *= 0x100000001B3ULL;
-    };
-    for (size_t s = 0; s < cluster.size(); ++s) {
-        const sim::Server &srv = cluster.server(ServerId(s));
-        fold(uint64_t(s) << 32 | uint64_t(srv.coresAllocated()));
-        for (const sim::TaskShare &t : srv.tasks()) {
-            // Socket folded into the high bits of the workload
-            // word: ids stay far below 2^48, and socket 0 leaves the
-            // pre-topology hash untouched (flat bit-identity).
-            fold(uint64_t(t.workload) | uint64_t(t.socket) << 48);
-            fold(uint64_t(t.cores));
-        }
-    }
-}
-
-LegMetrics
-runThrashLeg(int servers, bool aware, bool full_rescan)
-{
-    sim::Cluster cluster = numaCluster(servers);
-    // The co-runner: socket 0 of every machine is being thrashed for
-    // the whole run. Injected pressure is invisible to the blind
-    // homing rule (it owns no cores) but fully visible to the
-    // interference model — exactly the trap topology awareness exists
-    // to avoid.
-    for (size_t s = 0; s < cluster.size(); ++s)
-        cluster.server(ServerId(s))
-            .injectPressureAt(0, thrasherPressure());
-
-    workload::WorkloadRegistry registry;
-    core::QuasarConfig qcfg;
-    qcfg.scheduler.full_rescan = full_rescan;
-    qcfg.scheduler.socket_aware = aware;
-    core::QuasarManager mgr(cluster, registry, qcfg);
-    workload::WorkloadFactory seeder{stats::Rng(4242)};
-    mgr.seedOffline(seeder, 16);
-
-    driver::ScenarioDriver drv(
-        cluster, registry, mgr,
-        driver::DriverConfig{.tick_s = 10.0, .record_every = 2});
-
+    Scenario sc;
     workload::WorkloadFactory factory{stats::Rng(20260813)};
-    std::vector<WorkloadId> services;
     for (int i = 0; i < servers; ++i) {
         double q = factory.rng().uniform(4e4, 7e4);
         workload::Workload mc = factory.memcachedService(
@@ -151,10 +106,9 @@ runThrashLeg(int servers, bool aware, bool full_rescan)
         // machines would otherwise fill on memory with idle cores).
         mc.truth.mem_demand_gb = factory.rng().uniform(4.0, 8.0);
         WorkloadId id = registry.add(mc);
-        services.push_back(id);
+        sc.services.push_back(id);
         drv.addArrival(id, 5.0 * double(i + 1));
     }
-    std::vector<WorkloadId> fillers;
     for (double t = 8.0; t < 0.7 * kHorizon; t += 12.0) {
         workload::Workload be = factory.bestEffortJob("be");
         // Short enough to finish inside the horizon.
@@ -174,74 +128,23 @@ runThrashLeg(int servers, bool aware, bool full_rescan)
         // the services leave over instead of queueing forever.
         be.target.rate *= 0.4;
         WorkloadId id = registry.add(be);
-        fillers.push_back(id);
+        sc.fillers.push_back(id);
         drv.addArrival(id, t);
     }
-
-    LegMetrics m;
-    m.services = services.size();
-    uint64_t hash = 0xCBF29CE484222325ULL;
-    double frac_sum = 0.0;
-    size_t frac_n = 0;
-    drv.setTickHook([&](double) {
-        hashClusterState(cluster, hash);
-        int lc_cores = 0, lc_socket0 = 0, be_cores = 0;
-        for (size_t s = 0; s < cluster.size(); ++s) {
-            for (const sim::TaskShare &t :
-                 cluster.server(ServerId(s)).tasks()) {
-                if (t.best_effort) {
-                    be_cores += t.cores;
-                    continue;
-                }
-                lc_cores += t.cores;
-                if (t.socket == 0)
-                    lc_socket0 += t.cores;
-            }
-        }
-        m.be_cores_final = be_cores;
-        if (lc_cores > 0) {
-            frac_sum += double(lc_socket0) / double(lc_cores);
-            ++frac_n;
-        }
-    });
-
-    drv.run(kHorizon);
-
-    double qos_sum = 0.0;
-    size_t qos_n = 0;
-    for (WorkloadId id : services) {
-        const driver::ServiceTrace *trace = drv.serviceTrace(id);
-        if (!trace || trace->qos_fraction.size() == 0)
-            continue;
-        qos_sum += trace->qos_fraction.mean();
-        ++qos_n;
-    }
-    m.qos_violation_rate = qos_n ? 1.0 - qos_sum / double(qos_n) : 0.0;
-    m.lc_socket0_core_frac =
-        frac_n ? frac_sum / double(frac_n) : 0.0;
-    for (WorkloadId id : fillers)
-        if (registry.get(id).completed)
-            ++m.be_completed;
-    m.placement_hash = hash;
-    return m;
+    return sc;
 }
 
-LegMetrics
-runBandwidthLeg(int servers, bool aware, bool full_rescan)
+/**
+ * Bandwidth scenario: bandwidth-bound analytics hogs and compute
+ * ballast on every machine, then a handful of latency-critical
+ * services.
+ */
+Scenario
+addBandwidth(const sim::Cluster &cluster,
+             workload::WorkloadRegistry &registry,
+             driver::ScenarioDriver &drv, int servers)
 {
-    sim::Cluster cluster = numaCluster(servers);
-    workload::WorkloadRegistry registry;
-    core::QuasarConfig qcfg;
-    qcfg.scheduler.full_rescan = full_rescan;
-    qcfg.scheduler.socket_aware = aware;
-    core::QuasarManager mgr(cluster, registry, qcfg);
-    workload::WorkloadFactory seeder{stats::Rng(4242)};
-    mgr.seedOffline(seeder, 16);
-
-    driver::ScenarioDriver drv(
-        cluster, registry, mgr,
-        driver::DriverConfig{.tick_s = 10.0, .record_every = 2});
-
+    Scenario sc;
     workload::WorkloadFactory factory{stats::Rng(20260814)};
     // Heavy-small hogs first: one bandwidth-bound Spark-style job per
     // machine, two cores each but streaming through memory an order
@@ -281,7 +184,6 @@ runBandwidthLeg(int servers, bool aware, bool full_rescan)
     }
     // Latency-critical services last, into machines where the
     // fewest-cores rule points straight at the bandwidth hogs.
-    std::vector<WorkloadId> services;
     for (int i = 0; i < 6; ++i) {
         double q = factory.rng().uniform(1.5e4, 3e4);
         workload::Workload mc = factory.memcachedService(
@@ -289,31 +191,63 @@ runBandwidthLeg(int servers, bool aware, bool full_rescan)
             std::make_shared<tracegen::FlatLoad>(0.9 * q));
         mc.truth.mem_demand_gb = factory.rng().uniform(4.0, 8.0);
         WorkloadId id = registry.add(mc);
-        services.push_back(id);
+        sc.services.push_back(id);
         drv.addArrival(id, 0.4 * kHorizon + 8.0 * double(i + 1));
     }
 
-    LegMetrics m;
-    m.services = services.size();
-    uint64_t hash = 0xCBF29CE484222325ULL;
+    return sc;
+}
+
+bench::Row
+runLeg(bool thrash, bool aware, bool full_rescan)
+{
+    sim::Cluster cluster = numaCluster(kServers);
+    // The thrash co-runner: socket 0 of every machine is being
+    // thrashed for the whole run. Injected pressure is invisible to
+    // the blind homing rule (it owns no cores) but fully visible to
+    // the interference model — exactly the trap topology awareness
+    // exists to avoid.
+    if (thrash)
+        for (size_t s = 0; s < cluster.size(); ++s)
+            cluster.server(ServerId(s))
+                .injectPressureAt(0, thrasherPressure());
+
+    workload::WorkloadRegistry registry;
+    core::QuasarConfig qcfg;
+    qcfg.scheduler.full_rescan = full_rescan;
+    qcfg.scheduler.socket_aware = aware;
+    core::QuasarManager mgr(cluster, registry, qcfg);
+    workload::WorkloadFactory seeder{stats::Rng(4242)};
+    mgr.seedOffline(seeder, 16);
+
+    driver::ScenarioDriver drv(
+        cluster, registry, mgr,
+        driver::DriverConfig{.tick_s = 10.0, .record_every = 2});
+    const Scenario sc = thrash ? addThrash(registry, drv, kServers)
+                               : addBandwidth(cluster, registry, drv,
+                                              kServers);
+
+    uint64_t hash = bench::kFnvBasis;
     double frac_sum = 0.0;
     size_t frac_n = 0;
+    int be_cores_final = 0;
     drv.setTickHook([&](double) {
-        hashClusterState(cluster, hash);
-        int lc_cores = 0, lc_socket0 = 0;
+        bench::foldCluster(cluster, hash);
+        int lc_cores = 0, lc_socket0 = 0, be_cores = 0;
         for (size_t s = 0; s < cluster.size(); ++s) {
             for (const sim::TaskShare &t :
                  cluster.server(ServerId(s)).tasks()) {
-                bool lc = false;
-                for (WorkloadId id : services)
-                    lc = lc || id == t.workload;
-                if (!lc)
+                if (t.best_effort)
+                    be_cores += t.cores;
+                if (std::find(sc.services.begin(), sc.services.end(),
+                              t.workload) == sc.services.end())
                     continue;
                 lc_cores += t.cores;
                 if (t.socket == 0)
                     lc_socket0 += t.cores;
             }
         }
+        be_cores_final = be_cores;
         if (lc_cores > 0) {
             frac_sum += double(lc_socket0) / double(lc_cores);
             ++frac_n;
@@ -324,163 +258,39 @@ runBandwidthLeg(int servers, bool aware, bool full_rescan)
 
     double qos_sum = 0.0;
     size_t qos_n = 0;
-    for (WorkloadId id : services) {
+    for (WorkloadId id : sc.services) {
         const driver::ServiceTrace *trace = drv.serviceTrace(id);
         if (!trace || trace->qos_fraction.size() == 0)
             continue;
         qos_sum += trace->qos_fraction.mean();
         ++qos_n;
     }
-    m.qos_violation_rate = qos_n ? 1.0 - qos_sum / double(qos_n) : 0.0;
-    m.lc_socket0_core_frac =
-        frac_n ? frac_sum / double(frac_n) : 0.0;
-    m.placement_hash = hash;
-    return m;
+    size_t be_completed = 0;
+    for (WorkloadId id : sc.fillers)
+        be_completed += registry.get(id).completed ? 1 : 0;
+    return bench::Row()
+        .count("services", sc.services.size())
+        .num("qos_violation_rate",
+             qos_n ? 1.0 - qos_sum / double(qos_n) : 0.0, 4)
+        .num("lc_socket0_core_frac",
+             frac_n ? frac_sum / double(frac_n) : 0.0, 4)
+        .count("be_completed", be_completed)
+        .count("be_cores_final", uint64_t(be_cores_final))
+        .hex("placement_hash", hash);
 }
 
-void
-printLeg(const char *name, const LegMetrics &m)
+bench::Leg
+leg(const char *name, bool thrash, bool aware, bool full_rescan,
+    int reproduces = -1)
 {
-    std::printf("  %-18s: qos-viol %.3f  lc-on-socket0 %.3f  "
-                "be-done %zu (cores %d)  place %016llx\n",
-                name, m.qos_violation_rate, m.lc_socket0_core_frac,
-                m.be_completed, m.be_cores_final,
-                (unsigned long long)m.placement_hash);
-}
-
-int
-runTopologyBench(bool smoke, const std::string &out_path,
-                 const std::string &baseline_path,
-                 double max_regression)
-{
-    const int servers = 8;
-
-    bench::banner(
-        smoke ? "NUMA topology (smoke): cache-thrashed socket, "
-                "aware vs blind homing"
-              : "NUMA topology: cache-thrash + bandwidth scenarios, "
-                "aware vs blind homing");
-
-    struct Leg
-    {
-        const char *name;
-        const char *scenario;
-        bool aware;
-        bool full_rescan;
-        LegMetrics m;
-    };
-    std::vector<Leg> legs = {
-        {"thrash-aware", "thrash", true, false, {}},
-        {"thrash-blind", "thrash", false, false, {}},
-        {"thrash-aware-full_rescan", "thrash", true, true, {}},
-        {"thrash-aware-replay", "thrash", true, false, {}},
-    };
-    if (!smoke) {
-        legs.push_back({"bw-aware", "bandwidth", true, false, {}});
-        legs.push_back({"bw-blind", "bandwidth", false, false, {}});
-    }
-
-    for (Leg &leg : legs) {
-        std::printf("  running %s...\n", leg.name);
-        std::fflush(stdout);
-        leg.m = std::strcmp(leg.scenario, "thrash") == 0
-                    ? runThrashLeg(servers, leg.aware, leg.full_rescan)
-                    : runBandwidthLeg(servers, leg.aware,
-                                      leg.full_rescan);
-    }
-
-    // Replay gate: the aware thrash decision stream must reproduce
-    // bit-identically across the scheduler index mode (dirty vs
-    // full_rescan) and across a full re-run.
-    const LegMetrics &aware = legs[0].m;
-    bool replay_ok = true;
-    std::FILE *out = std::fopen(out_path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-    }
-    std::fprintf(out,
-                 "{\n  \"name\": \"topology\",\n  \"smoke\": %s,\n"
-                 "  \"servers\": %d,\n  \"horizon_s\": %.0f,\n"
-                 "  \"legs\": [\n",
-                 smoke ? "true" : "false", servers, kHorizon);
-    for (size_t i = 0; i < legs.size(); ++i) {
-        const Leg &leg = legs[i];
-        bool identical = true;
-        if (leg.aware && std::strcmp(leg.scenario, "thrash") == 0 &&
-            std::strcmp(leg.name, "thrash-aware") != 0)
-            identical = leg.m.placement_hash == aware.placement_hash;
-        replay_ok = replay_ok && identical;
-        printLeg(leg.name, leg.m);
-        if (!identical)
-            std::printf("        ^^ DIVERGED from thrash-aware\n");
-        std::fprintf(
-            out,
-            "    {\"leg\": \"%s\", \"scenario\": \"%s\", "
-            "\"servers\": %d, \"aware\": %s, \"mode\": \"%s\", "
-            "\"services\": %zu, \"qos_violation_rate\": %.4f, "
-            "\"lc_socket0_core_frac\": %.4f, \"be_completed\": %zu, "
-            "\"placement_hash\": \"%016llx\", "
-            "\"identical\": %s}%s\n",
-            leg.name, leg.scenario, servers,
-            leg.aware ? "true" : "false",
-            leg.full_rescan ? "full_rescan" : "dirty", leg.m.services,
-            leg.m.qos_violation_rate, leg.m.lc_socket0_core_frac,
-            leg.m.be_completed,
-            (unsigned long long)leg.m.placement_hash,
-            identical ? "true" : "false",
-            i + 1 == legs.size() ? "" : ",");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", out_path.c_str());
-
-    int rc = 0;
-    if (!replay_ok) {
-        std::fprintf(stderr,
-                     "FAIL: topology decisions diverged across "
-                     "scheduler modes / re-replay\n");
-        rc = 1;
-    }
-    const LegMetrics &blind = legs[1].m;
-    if (!(aware.qos_violation_rate < blind.qos_violation_rate)) {
-        std::fprintf(stderr,
-                     "FAIL: socket-aware homing does not improve QoS "
-                     "on the thrash scenario (%.4f vs blind %.4f)\n",
-                     aware.qos_violation_rate,
-                     blind.qos_violation_rate);
-        rc = 1;
-    } else {
-        std::printf(
-            "qos gate ok: thrash violation aware %.4f < blind %.4f "
-            "(lc cores on the thrashed socket: %.3f vs %.3f)\n",
-            aware.qos_violation_rate, blind.qos_violation_rate,
-            aware.lc_socket0_core_frac, blind.lc_socket0_core_frac);
-    }
-    if (!baseline_path.empty()) {
-        double base = bench::rowNumber(
-            bench::baselineRow(baseline_path, {"\"leg\": \"thrash-aware\""}),
-            "qos_violation_rate");
-        if (std::isnan(base)) {
-            std::printf("no usable baseline at %s; skipping the "
-                        "regression gate\n",
-                        baseline_path.c_str());
-        } else if (aware.qos_violation_rate > base + max_regression) {
-            std::fprintf(stderr,
-                         "FAIL: thrash-aware qos violation %.4f "
-                         "regressed more than %.2f above the "
-                         "committed baseline %.4f\n",
-                         aware.qos_violation_rate, max_regression,
-                         base);
-            rc = 1;
-        } else {
-            std::printf("baseline gate ok: %.4f vs committed %.4f "
-                        "(+%.2f allowed)\n",
-                        aware.qos_violation_rate, base,
-                        max_regression);
-        }
-    }
-    return rc;
+    return {bench::Row()
+                .text("leg", name)
+                .text("scenario", thrash ? "thrash" : "bandwidth")
+                .count("servers", kServers)
+                .flag("aware", aware)
+                .text("mode", full_rescan ? "full_rescan" : "dirty"),
+            [=] { return runLeg(thrash, aware, full_rescan); },
+            reproduces};
 }
 
 } // namespace
@@ -488,21 +298,61 @@ runTopologyBench(bool smoke, const std::string &out_path,
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string out_path = "BENCH_topology.json";
-    std::string baseline_path;
-    double max_regression = 0.05;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--smoke")
-            smoke = true;
-        else if (arg.rfind("--out=", 0) == 0)
-            out_path = arg.substr(6);
-        else if (arg.rfind("--baseline=", 0) == 0)
-            baseline_path = arg.substr(11);
-        else if (arg.rfind("--max-regression=", 0) == 0)
-            max_regression = std::atof(arg.c_str() + 17);
+    const bench::Args args = bench::parseArgs(
+        argc, argv, bench::kTakesBaseline, "BENCH_topology.json", 0.05);
+
+    // The aware thrash leg (index 0) must reproduce bit-identically
+    // across the scheduler index mode (dirty vs full_rescan) and
+    // across a full re-run.
+    std::vector<bench::Leg> legs = {
+        leg("thrash-aware", true, true, false),
+        leg("thrash-blind", true, false, false),
+        leg("thrash-aware-full_rescan", true, true, true, 0),
+        leg("thrash-aware-replay", true, true, false, 0),
+    };
+    if (!args.smoke) {
+        legs.push_back(leg("bw-aware", false, true, false));
+        legs.push_back(leg("bw-blind", false, false, false));
     }
-    return runTopologyBench(smoke, out_path, baseline_path,
-                            max_regression);
+
+    bench::banner(
+        args.smoke ? "NUMA topology (smoke): cache-thrashed socket, "
+                     "aware vs blind homing"
+                   : "NUMA topology: cache-thrash + bandwidth scenarios, "
+                     "aware vs blind homing");
+    bool identical = false;
+    const std::vector<std::string> rows = bench::runLegs(legs, identical);
+    if (!bench::writeReport(args.out,
+                            bench::Row()
+                                .text("name", "topology")
+                                .flag("smoke", args.smoke)
+                                .count("servers", kServers)
+                                .num("horizon_s", kHorizon, 0),
+                            {{"legs", rows}}))
+        return 1;
+
+    int rc = identical ? 0 : 1;
+    const double aware = bench::rowNumber(rows[0], "qos_violation_rate");
+    const double blind = bench::rowNumber(rows[1], "qos_violation_rate");
+    if (!(aware < blind)) {
+        std::fprintf(stderr,
+                     "FAIL: socket-aware homing does not improve QoS "
+                     "on the thrash scenario (%.4f vs blind %.4f)\n",
+                     aware, blind);
+        rc = 1;
+    } else {
+        std::printf(
+            "qos gate ok: thrash violation aware %.4f < blind %.4f "
+            "(lc cores on the thrashed socket: %.3f vs %.3f)\n",
+            aware, blind,
+            bench::rowNumber(rows[0], "lc_socket0_core_frac"),
+            bench::rowNumber(rows[1], "lc_socket0_core_frac"));
+    }
+    if (!args.baseline.empty() &&
+        !bench::checkBaseline(args.baseline, legs[0].keys, rows[0],
+                              {{"placement_hash"}, "qos_violation_rate",
+                               false},
+                              args.max_regression))
+        rc = 1;
+    return rc;
 }

@@ -46,19 +46,26 @@
 #      scheduler index modes or a re-replay (placement AND decision
 #      hashes), if any leg's completed + departed + shed + active
 #      does not equal its arrivals, if controller-on does not beat
-#      controller-off on the crowd-window QoS-violation rate, or if
+#      controller-off on the crowd-window QoS-violation rate, if
 #      that rate regresses more than 0.05 (absolute) above the
-#      committed BENCH_overload.json (refresh with `bench/overload`
-#      — no --smoke — when a shift is intentional).
+#      committed BENCH_overload.json, or if the on-dirty leg's
+#      placement or decision hash differs from the committed row's
+#      (the stream is seeded, so both reproduce on any host;
+#      refresh with `bench/overload` — no --smoke — when a shift is
+#      intentional).
 #   8. Run the topology smoke (Release): the cache-thrashed-socket
 #      scenario on 2-socket machines, socket-aware vs topology-blind
 #      homing (DESIGN.md §13). Fails if the aware leg's placement
 #      hash is not reproduced bit-identically by the full_rescan and
 #      replay legs, if socket-aware does not beat topology-blind on
-#      the services' QoS-violation rate, or if that rate regresses
+#      the services' QoS-violation rate, if that rate regresses
 #      more than 0.05 (absolute) above the committed
-#      BENCH_topology.json (refresh with `bench/topology --smoke`
-#      when a shift is intentional).
+#      BENCH_topology.json, or if the thrash-aware leg's placement
+#      hash differs from the committed row's (refresh with
+#      `bench/topology --smoke` when a shift is intentional).
+#   Stages 5-8 share one replay harness (bench/common.hh): an
+#   unknown flag exits 2, and a --baseline file that is unreadable
+#   or lacks a gated leg's row fails the stage.
 #   9. Static analysis + verification soak:
 #      a. tools/quasar-lint (the structure-aware analyzer: token
 #         rules plus mutation-journaling, decision-purity and

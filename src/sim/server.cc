@@ -243,13 +243,11 @@ Server::rawPressureExcluding(WorkloadId w) const
     return total;
 }
 
-void
-Server::localPressureExcluding(
-    WorkloadId w,
-    std::array<IVector, topology::kMaxSockets> &local) const
+std::array<IVector, topology::kMaxSockets>
+Server::localPressureExcluding(WorkloadId w) const
 {
-    for (int s = 0; s < num_sockets_; ++s)
-        local[size_t(s)] = injected_[size_t(s)];
+    // Every slot starts from its injection (zero past num_sockets_).
+    std::array<IVector, topology::kMaxSockets> local = injected_;
     for (const TaskShare &t : tasks_) {
         if (t.workload == w)
             continue;
@@ -262,6 +260,7 @@ Server::localPressureExcluding(
                 home[i] += t.caused[i];
         }
     }
+    return local;
 }
 
 IVector
@@ -304,8 +303,8 @@ Server::contentionFor(WorkloadId w) const
 {
     const TaskShare *self = share(w);
     int socket = self ? self->socket : 0;
-    std::array<IVector, topology::kMaxSockets> local;
-    localPressureExcluding(w, local);
+    const std::array<IVector, topology::kMaxSockets> local =
+        localPressureExcluding(w);
     return normalizeAt(viewFromLocal(local, socket), socket, self);
 }
 
@@ -319,8 +318,8 @@ IVector
 Server::contentionForNewcomerAt(int socket) const
 {
     assert(socket >= 0 && socket < num_sockets_);
-    std::array<IVector, topology::kMaxSockets> local;
-    localPressureExcluding(kInvalidWorkload, local);
+    const std::array<IVector, topology::kMaxSockets> local =
+        localPressureExcluding(kInvalidWorkload);
     return normalizeAt(viewFromLocal(local, socket), socket, nullptr);
 }
 
@@ -329,8 +328,8 @@ Server::socketSnapshot() const
 {
     SocketSnapshot snap;
     snap.sockets = num_sockets_;
-    std::array<IVector, topology::kMaxSockets> local;
-    localPressureExcluding(kInvalidWorkload, local);
+    const std::array<IVector, topology::kMaxSockets> local =
+        localPressureExcluding(kInvalidWorkload);
     for (int s = 0; s < num_sockets_; ++s)
         snap.contention[size_t(s)] =
             normalizeAt(viewFromLocal(local, s), s, nullptr);
@@ -339,21 +338,11 @@ Server::socketSnapshot() const
     return snap;
 }
 
-int
-Server::coresHomed(int socket) const
-{
-    int n = 0;
-    for (const TaskShare &t : tasks_)
-        if (t.socket == socket)
-            n += t.cores;
-    return n;
-}
-
 IVector
 Server::freshSocketPressure(int socket) const
 {
-    std::array<IVector, topology::kMaxSockets> local;
-    localPressureExcluding(kInvalidWorkload, local);
+    const std::array<IVector, topology::kMaxSockets> local =
+        localPressureExcluding(kInvalidWorkload);
     return local[size_t(socket)];
 }
 
@@ -423,22 +412,6 @@ Server::cpuReservedFraction() const
 {
     return platform_.cores > 0
                ? double(coresAllocated()) / double(platform_.cores)
-               : 0.0;
-}
-
-double
-Server::memoryUtilization() const
-{
-    return platform_.memory_gb > 0.0
-               ? memoryAllocated() / platform_.memory_gb
-               : 0.0;
-}
-
-double
-Server::storageUtilization() const
-{
-    return platform_.storage_gb > 0.0
-               ? storageAllocated() / platform_.storage_gb
                : 0.0;
 }
 

@@ -233,8 +233,6 @@ class Server
     {
         return cross_;
     }
-    /** Allocated cores of resident tasks homed on a socket. */
-    int coresHomed(int socket) const;
 
     /**
      * One ordered ledger walk producing every per-socket newcomer
@@ -265,8 +263,6 @@ class Server
     double cpuUtilization() const;
     /** Allocated cores / total cores (the reservation view). */
     double cpuReservedFraction() const;
-    double memoryUtilization() const;
-    double storageUtilization() const;
     /// @}
 
   private:
@@ -280,10 +276,8 @@ class Server
      * the flat (single-socket) case reproduces the pre-topology
      * arithmetic bit for bit.
      */
-    void localPressureExcluding(
-        WorkloadId w,
-        std::array<interference::IVector, topology::kMaxSockets>
-            &local) const;
+    std::array<interference::IVector, topology::kMaxSockets>
+    localPressureExcluding(WorkloadId w) const;
 
     /** Raw pressure visible from one socket: local plus attenuated
      *  remote contributions. */

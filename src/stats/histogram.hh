@@ -22,7 +22,6 @@ class Histogram
 
     void add(double x, double weight = 1.0);
 
-    size_t numBins() const { return counts_.size(); }
     double binLo(size_t i) const;
     double binHi(size_t i) const;
     double count(size_t i) const { return counts_[i]; }

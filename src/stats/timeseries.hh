@@ -53,7 +53,6 @@ class UtilizationGrid
 
     void record(size_t server, double t, double util);
 
-    size_t numServers() const { return series_.size(); }
     const TimeSeries &server(size_t i) const { return series_[i]; }
 
     /** Per-server mean utilization over a time window. */

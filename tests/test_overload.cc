@@ -12,6 +12,7 @@
 
 #include <algorithm>
 
+#include "bench/common.hh"
 #include "churn/churn.hh"
 #include "core/manager.hh"
 #include "core/overload.hh"
@@ -469,30 +470,13 @@ namespace
 
 struct ReplayResult
 {
-    uint64_t placement_hash = 0xCBF29CE484222325ULL;
+    uint64_t placement_hash = bench::kFnvBasis;
     uint64_t decision_hash = 0;
     size_t shed = 0;
     size_t deferred = 0;
     size_t arrivals = 0;
     size_t accounted = 0; ///< completed + departed + shed + active.
 };
-
-void
-foldCluster(const sim::Cluster &cluster, uint64_t &h)
-{
-    auto fold = [&h](uint64_t v) {
-        h ^= v;
-        h *= 0x100000001B3ULL;
-    };
-    for (size_t s = 0; s < cluster.size(); ++s) {
-        const sim::Server &srv = cluster.server(ServerId(s));
-        fold(uint64_t(s) << 32 | uint64_t(srv.coresAllocated()));
-        for (const sim::TaskShare &t : srv.tasks()) {
-            fold(uint64_t(t.workload));
-            fold(uint64_t(t.cores));
-        }
-    }
-}
 
 /** One seeded churn run with overload control on, in one mode. */
 ReplayResult
@@ -534,7 +518,7 @@ replayRun(uint64_t seed, bool full_rescan)
 
     ReplayResult r;
     drv.setTickHook(
-        [&](double) { foldCluster(cluster, r.placement_hash); });
+        [&](double) { bench::foldCluster(cluster, r.placement_hash); });
     drv.run(ccfg.horizon_s);
 
     r.decision_hash = mgr.overload().decisionHash();
@@ -614,13 +598,13 @@ TEST(OverloadReplay, DisabledControllerLeavesDecisionsUntouched)
         ccfg.horizon_s = 300.0;
         churn::ChurnEngine eng(ccfg);
         eng.install(cluster, registry, drv);
-        uint64_t h = 0xCBF29CE484222325ULL;
-        drv.setTickHook([&](double) { foldCluster(cluster, h); });
+        uint64_t h = bench::kFnvBasis;
+        drv.setTickHook([&](double) { bench::foldCluster(cluster, h); });
         drv.run(ccfg.horizon_s);
         return std::make_pair(h, mgr.overload().decisionHash());
     };
     auto off = run(false);
-    EXPECT_EQ(off.second, 0xCBF29CE484222325ULL);
+    EXPECT_EQ(off.second, bench::kFnvBasis);
     // An enabled controller on a light stream that never pressures
     // the cluster is not required to match; only off must be inert.
     // (The placement hash of the off run is the legacy behavior.)

@@ -255,7 +255,7 @@ TEST(Server, UsageAndUtilization)
     EXPECT_TRUE(srv.setUsage(1, 6.0));
     EXPECT_DOUBLE_EQ(srv.cpuUtilization(), 6.0 / 24.0);
     EXPECT_DOUBLE_EQ(srv.cpuReservedFraction(), 0.5);
-    EXPECT_DOUBLE_EQ(srv.memoryUtilization(), 0.5);
+    EXPECT_DOUBLE_EQ(srv.memoryAllocated() / srv.platform().memory_gb, 0.5);
     // Usage clamps to the allocation.
     srv.setUsage(1, 99.0);
     EXPECT_DOUBLE_EQ(srv.cpuUtilization(), 0.5);
